@@ -479,96 +479,3 @@ let run_serve base_path =
         exit 1
       end
       else print_endline "\nno regressions."
-
-(* --- the sharding guard (`bench --guard-shard`) ---
-
-   Re-measures the X14 sharded-chase scaling table against
-   BENCH_PR10.json.  The compared quantity is the ratio of the
-   4-domain to the 1-domain wall-clock of the *same* sharded code
-   path, measured back to back in one process, so a uniformly slow or
-   throttled runner cannot fail the build — only the per-shard phase
-   losing its domain scaling can.  Re-measuring also re-asserts that
-   the sharded and unsharded solutions are identical
-   ([Experiments.shard_rows] raises otherwise).  The floor is only
-   enforceable where the cores exist: on hosts with fewer than
-   [shard_floor_domains] cores the guard still runs the measurement
-   and the solution check, but reports the floor as not applicable —
-   wall-clock scaling cannot exist without the cores to scale onto. *)
-
-let shard_speedup_floor = 2.5
-let shard_floor_domains = 4
-
-type shard_base = { base_domains : int; base_shard_speedup : float }
-
-let shard_base_rows json =
-  List.filter_map
-    (fun entry ->
-      match
-        ( Option.bind (Obs.Json.member "domains" entry) Obs.Json.number,
-          Option.bind (Obs.Json.member "speedup" entry) Obs.Json.number )
-      with
-      | Some d, Some base_shard_speedup ->
-          Some { base_domains = int_of_float d; base_shard_speedup }
-      | _ -> None)
-    (match Obs.Json.member "shard" json with
-    | Some rows -> Obs.Json.elements rows
-    | None -> [])
-
-let run_shard base_path =
-  match Obs.Json.parse (read_file base_path) with
-  | Error msg ->
-      Printf.eprintf "guard-shard: cannot parse %s: %s\n" base_path msg;
-      exit 1
-  | Ok json ->
-      let base = shard_base_rows json in
-      if base = [] then begin
-        Printf.eprintf "guard-shard: no shard rows in %s\n" base_path;
-        exit 1
-      end;
-      let cores = Domain.recommended_domain_count () in
-      let enforce = cores >= shard_floor_domains in
-      Printf.printf
-        "sharding scaling guard vs %s (floor %.1fx at %d domains; host has %d \
-         core(s)%s)\n\n"
-        base_path shard_speedup_floor shard_floor_domains cores
-        (if enforce then "" else ", floor not applicable");
-      let current = Experiments.shard_rows () in
-      Experiments.print_shard_rows current;
-      let failures = ref 0 in
-      let check (row : shard_base) =
-        match
-          List.find_opt
-            (fun (c : Experiments.shard_row) ->
-              c.Experiments.shard_domains = row.base_domains)
-            current
-        with
-        | None ->
-            incr failures;
-            Printf.printf "  FAIL %d domains: row no longer measured\n"
-              row.base_domains
-        | Some c ->
-            let floor_ok =
-              (not enforce)
-              || row.base_domains <> shard_floor_domains
-              || c.Experiments.shard_speedup >= shard_speedup_floor
-            in
-            if not floor_ok then incr failures;
-            Printf.printf "  %s %d domains: speedup %.2fx -> %.2fx%s\n"
-              (if floor_ok then "ok  " else "FAIL")
-              row.base_domains row.base_shard_speedup
-              c.Experiments.shard_speedup
-              (if floor_ok then ""
-               else
-                 Printf.sprintf " (below the %.1fx floor)" shard_speedup_floor)
-      in
-      List.iter check base;
-      if !failures > 0 then begin
-        Printf.printf "\n%d row(s) regressed.\n" !failures;
-        exit 1
-      end
-      else
-        print_endline
-          (if enforce then "\nno regressions."
-           else
-             "\nno regressions (scaling floor skipped: not enough cores; \
-              solutions verified identical).")

@@ -278,33 +278,6 @@ let run_json_col path =
   Printf.printf "wrote %s\n" path;
   Experiments.print_col_rows rows
 
-(* --- sharding baseline (BENCH_PR10.json) --- *)
-
-let run_json_shard path =
-  let rows = Experiments.shard_rows () in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"pr\": 10,\n  \"cores\": %d,\n  \"shards\": %d,\n  \"shard\": [\n"
-       (Domain.recommended_domain_count ())
-       Experiments.shard_shard_count);
-  List.iteri
-    (fun i (r : Experiments.shard_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"domains\": %d, \"wall\": {%s}, \"speedup\": %s}%s\n"
-           r.Experiments.shard_domains
-           (json_sample r.Experiments.shard_wall)
-           (json_float r.Experiments.shard_speedup)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  Experiments.print_shard_rows rows
-
 (* --- serving baseline (BENCH_PR9.json) --- *)
 
 let run_json_serve path =
@@ -352,7 +325,6 @@ let () =
   | _ :: "x11" :: _ -> Experiments.x11 ()
   | _ :: "x12" :: _ -> Experiments.x12 ()
   | _ :: "x13" :: _ -> Experiments.x13 ()
-  | _ :: "x14" :: _ -> Experiments.x14 ()
   | _ :: "micro" :: _ -> run_micro ()
   | _ :: "--json" :: rest ->
       run_json (match rest with path :: _ -> path | [] -> "BENCH_PR4.json")
@@ -377,12 +349,6 @@ let () =
   | _ :: "--guard-opt" :: rest ->
       Baseline.run_opt
         (match rest with path :: _ -> path | [] -> "BENCH_PR6.json")
-  | _ :: "--json-shard" :: rest ->
-      run_json_shard
-        (match rest with path :: _ -> path | [] -> "BENCH_PR10.json")
-  | _ :: "--guard-shard" :: rest ->
-      Baseline.run_shard
-        (match rest with path :: _ -> path | [] -> "BENCH_PR10.json")
   | _ :: "--json-serve" :: rest ->
       run_json_serve
         (match rest with path :: _ -> path | [] -> "BENCH_PR9.json")

@@ -424,7 +424,7 @@ let axes_arg =
           "Check only this axis (repeatable): $(b,roundtrip), $(b,lint), \
            $(b,backends), $(b,columnar), $(b,optimize), $(b,fusion) (or \
            $(b,fusion:unsafe), $(b,fusion:off)), $(b,incremental), \
-           $(b,faults).  Default: all.")
+           $(b,faults), $(b,parallel).  Default: all.")
 
 let fuzz_fuse_arg =
   Arg.(
@@ -464,7 +464,7 @@ let fuzz_cmd =
     "differential scenario fuzzing: generate well-typed programs, data, \
      update batches and fault plans, run them through every engine \
      configuration (row/columnar, optimized, fused, incremental, faulted, \
-     every backend) and diff the results; disagreements are shrunk to \
+     parallel, every backend) and diff the results; disagreements are shrunk to \
      minimal self-contained repro files"
   in
   Cmd.v

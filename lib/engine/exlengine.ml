@@ -5,9 +5,6 @@ type config = {
   policy : Dispatcher.assignment_policy;
   record_history : bool;
   parallel_dispatch : bool;
-  pool_size : int option;
-      (* worker-domain count for parallel dispatch; None = the shared
-         pool sized from Domain.recommended_domain_count *)
   retry : Dispatcher.retry_policy;
   faults : Faults.plan option;
       (* injected failures, for drills and tests; None in production *)
@@ -17,12 +14,6 @@ type config = {
   columnar : bool;
       (* chase through the vectorized column-batch kernels; on by
          default, opt out for A/B runs against the row path *)
-  shards : int;
-      (* partition full chases across this many shards, run on the
-         domain pool with work stealing; 1 = unsharded *)
-  shard_key : string option;
-      (* dimension to partition on; None = chosen per mapping by the
-         co-partitioning check *)
 }
 
 let default_config =
@@ -31,13 +22,10 @@ let default_config =
     policy = Dispatcher.default_policy;
     record_history = true;
     parallel_dispatch = false;
-    pool_size = None;
     retry = Dispatcher.default_retry;
     faults = None;
     optimize = true;
     columnar = true;
-    shards = 1;
-    shard_key = None;
   }
 
 (* The solution cache of the incremental path: the chase instance a
@@ -66,22 +54,13 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  if config.shards > 1 then Shard.Driver.install ();
   {
     config;
     determination = Determination.create ();
     translation = Translation.create ();
     store = Registry.create ();
     history = Historicity.create ();
-    pool =
-      (* sharded chases also need the pool: shard tasks run on it with
-         work stealing *)
-      (if config.parallel_dispatch || config.shards > 1 then
-         Some
-           (match config.pool_size with
-           | Some size -> Pool.create ~size ()
-           | None -> Pool.shared ())
-       else None);
+    pool = (if config.parallel_dispatch then Some (Pool.shared ()) else None);
     dirty = [];
     solution = None;
   }
@@ -285,17 +264,7 @@ let rebuild_solution t covered =
         else generated
       in
       let source = Exchange.Instance.of_registry t.store in
-      let executor =
-        (* shard tasks are coarse and uneven: steal-half rebalancing
-           beats the plain shared-queue executor there *)
-        match t.pool with
-        | Some pool when t.config.shards > 1 -> Pool.stealing_executor pool
-        | _ -> Exchange.Chase.sequential_executor
-      in
-      match
-        Exchange.Chase.run ~columnar:t.config.columnar ~executor
-          ~shards:t.config.shards ?shard_key:t.config.shard_key mapping source
-      with
+      match Exchange.Chase.run ~columnar:t.config.columnar mapping source with
       | Error _ as e -> e
       | Ok (instance, stats) ->
           let sol =

@@ -10,11 +10,8 @@ type config = {
   record_history : bool;
       (** Store a dated version of every recomputed cube. *)
   parallel_dispatch : bool;
-      (** Run independent per-target subgraphs on the domain pool. *)
-  pool_size : int option;
-      (** Worker-domain count for parallel dispatch; [None] uses the
-          process-wide {!Pool.shared} sized from
-          [Domain.recommended_domain_count]. *)
+      (** Run independent per-target subgraphs on the process-wide
+          {!Pool.shared} domain pool. *)
   retry : Dispatcher.retry_policy;
       (** Retry/backoff/timeout policy for dispatch steps. *)
   faults : Faults.plan option;
@@ -30,16 +27,6 @@ type config = {
           ({!Exchange.Chase.run}'s [columnar]).  On by default —
           solutions and counters are identical to the row path; opt
           out for A/B comparisons. *)
-  shards : int;
-      (** Partition full chases across this many shards
-          ({!Exchange.Chase.run}'s [shards]), running the per-shard
-          chases on the domain pool with work stealing.  [1] (the
-          default) = unsharded; [> 1] also brings the pool up even
-          without [parallel_dispatch].  Solutions are identical to the
-          unsharded run's. *)
-  shard_key : string option;
-      (** Dimension to partition on; [None] (the default) lets the
-          co-partitioning check choose per mapping. *)
 }
 
 val default_config : config

@@ -836,46 +836,9 @@ let static_check : (Mappings.Mapping.t -> (unit, string) result) ref =
 
 let sequential_executor tasks = List.iter (fun task -> task ()) tasks
 
-(* Sharded-chase hook.  The shard driver lives above this library (it
-   partitions instances and re-enters [run] per shard), so — like
-   [static_check] — it is injected rather than depended upon:
-   [Shard.Driver.install] fills the slot at module init.  [run ~shards]
-   with no installed runner is a hard error, not a silent fallback;
-   a missing linkage must not masquerade as a scaling measurement. *)
-type shard_request = {
-  shard_count : int;
-  shard_key : string option;
-  shard_range : bool;  (** range partitioning instead of hash *)
-}
-
-type shard_runner =
-  check_egds:bool ->
-  executor:((unit -> unit) list -> unit) ->
-  columnar:bool ->
-  request:shard_request ->
-  Mappings.Mapping.t ->
-  Instance.t ->
-  (Instance.t * stats, string) result
-
-let shard_runner : shard_runner option ref = ref None
-
 let run ?(check_egds = true) ?(mode = Semi_naive)
-    ?(executor = sequential_executor) ?(columnar = true) ?(shards = 1)
-    ?shard_key ?(shard_range = false) (m : Mappings.Mapping.t) source =
-  if shards > 1 && mode = Semi_naive then
-    match !shard_runner with
-    | None ->
-        Error
-          "sharded chase requested but no shard runner is installed (link \
-           lib/shard and call Shard.Driver.install ())"
-    | Some runner -> (
-        match !static_check m with
-        | Error msg -> Error ("static check failed before chase: " ^ msg)
-        | Ok () ->
-            runner ~check_egds ~executor ~columnar
-              ~request:{ shard_count = shards; shard_key; shard_range }
-              m source)
-  else
+    ?(executor = sequential_executor) ?(columnar = true)
+    (m : Mappings.Mapping.t) source =
   match !static_check m with
   | Error msg -> Error ("static check failed before chase: " ^ msg)
   | Ok () ->

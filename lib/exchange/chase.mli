@@ -54,9 +54,6 @@ val run :
   ?mode:mode ->
   ?executor:((unit -> unit) list -> unit) ->
   ?columnar:bool ->
-  ?shards:int ->
-  ?shard_key:string ->
-  ?shard_range:bool ->
   Mappings.Mapping.t ->
   Instance.t ->
   (Instance.t * stats, string) result
@@ -80,75 +77,7 @@ val run :
     solution, the result, and every [stats] counter are identical to
     the row path's (the kernels replay its iteration order, counting,
     and error rules); only wall-clock time and index telemetry
-    differ.
-
-    [shards > 1] (semi-naive mode only) routes the whole run through
-    the installed {!shard_runner}: the source instance is partitioned
-    on [shard_key] (auto-chosen when omitted; [shard_range] switches
-    hash partitioning to range), the co-partitionable tgds chase each
-    shard independently — [executor] then runs {e shard} tasks, one
-    per shard — and a deterministic merge plus a residual pass over
-    the cross-shard tgds completes the solution.  The solution equals
-    the unsharded one (property-tested); [stats] counters are
-    aggregates across shards and may differ.  [Error] if no runner is
-    installed (see {!shard_runner}). *)
-
-(** {2 Sharded execution hooks}
-
-    The shard driver ([lib/shard]) sits {e above} this library — it
-    partitions instances and re-enters {!run} once per shard — so,
-    exactly like {!static_check}, it is injected rather than depended
-    upon. *)
-
-type shard_request = {
-  shard_count : int;
-  shard_key : string option;
-      (** dimension to partition on; [None] = choose automatically *)
-  shard_range : bool;  (** range partitioning instead of hash *)
-}
-
-type shard_runner =
-  check_egds:bool ->
-  executor:((unit -> unit) list -> unit) ->
-  columnar:bool ->
-  request:shard_request ->
-  Mappings.Mapping.t ->
-  Instance.t ->
-  (Instance.t * stats, string) result
-
-val shard_runner : shard_runner option ref
-(** Filled by [Shard.Driver.install]; [None] makes [run ~shards]
-    return [Error] rather than silently running unsharded. *)
-
-val run_stratum :
-  executor:((unit -> unit) list -> unit) ->
-  columnar:bool ->
-  Instance.t ->
-  stats ->
-  Mappings.Tgd.t list ->
-  (unit, string) result
-(** Evaluate one stratum to fixpoint against [instance] (round one
-    full, then delta rounds), exactly as {!run} does internally.
-    Exposed for the shard driver's residual pass; egds are {e not}
-    checked here. *)
-
-val strata_of : Mappings.Mapping.t -> Mappings.Tgd.t list list
-(** The stratification {!run} evaluates: [Stratify.strata] when the
-    mapping stratifies, otherwise one big stratum in statement order. *)
-
-val check_target_egds :
-  check_egds:bool ->
-  Mappings.Mapping.t ->
-  Instance.t ->
-  stats ->
-  string list ->
-  (unit, string) result
-(** Run the mapping's functionality egds for the named relations (the
-    post-stratum check {!run} performs); [Ok] when [check_egds] is
-    false.  Exposed for the shard driver's post-merge checks. *)
-
-val sequential_executor : (unit -> unit) list -> unit
-(** The default [executor]: run tasks in order on the calling domain. *)
+    differ. *)
 
 type fact_delta = { added : Instance.fact list; removed : Instance.fact list }
 (** A change to one relation's fact set.  A revision of a key is its

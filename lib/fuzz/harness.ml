@@ -31,8 +31,8 @@ let derived_names source =
 
 let compiled scenario = Core.compile scenario.Scenario.source
 
-let chase ?(columnar = false) mapping data =
-  Exchange.Chase.run ~columnar mapping
+let chase ?(columnar = false) ?executor mapping data =
+  Exchange.Chase.run ~columnar ?executor mapping
     (Exchange.Instance.of_registry (Registry.copy data))
 
 let compare_relations ?(eps = 1e-6) names j1 j2 =
@@ -137,81 +137,71 @@ let stats_diff (a : Exchange.Chase.stats) (b : Exchange.Chase.stats) =
       else Some (Printf.sprintf "counter %s: %d vs %d" name x y))
     fields
 
+(* Two chases of one mapping must agree fact for fact, on every chase
+   counter, and on the error message when both reject. *)
+let compare_chases (a, ra) (b, rb) mapping =
+  let what = a ^ " vs " ^ b in
+  match (ra, rb) with
+  | Ok (j1, s1), Ok (j2, s2) -> (
+      let names =
+        List.map
+          (fun (s : Schema.t) -> s.Schema.name)
+          mapping.Mappings.Mapping.target
+      in
+      let facts_diff =
+        List.find_map
+          (fun name ->
+            if Exchange.Instance.facts j1 name = Exchange.Instance.facts j2 name
+            then None
+            else Some (Printf.sprintf "relation %s differs" name))
+          names
+      in
+      match facts_diff with
+      | Some d -> Disagree (what ^ ": " ^ d)
+      | None -> (
+          match stats_diff s1 s2 with
+          | Some d -> Disagree (what ^ ": " ^ d)
+          | None -> Agree))
+  | Error e1, Error e2 ->
+      if e1 = e2 then Agree
+      else
+        Disagree
+          (Printf.sprintf "%s error messages differ: %s vs %s" what e1 e2)
+  | Ok _, Error e ->
+      Disagree (Printf.sprintf "%s path errored, %s did not: %s" b a e)
+  | Error e, Ok _ ->
+      Disagree (Printf.sprintf "%s path errored, %s did not: %s" a b e)
+
 let check_columnar scenario =
   match Result.bind (compiled scenario) Core.mapping_of with
   | Error msg -> Disagree ("no mapping: " ^ msg)
-  | Ok mapping -> (
+  | Ok mapping ->
       let data = scenario.Scenario.data in
-      match (chase ~columnar:false mapping data, chase ~columnar:true mapping data) with
-      | Ok (j1, s1), Ok (j2, s2) -> (
-          let names =
-            List.map
-              (fun (s : Schema.t) -> s.Schema.name)
-              mapping.Mappings.Mapping.target
-          in
-          let facts_diff =
-            List.find_map
-              (fun name ->
-                if
-                  Exchange.Instance.facts j1 name
-                  = Exchange.Instance.facts j2 name
-                then None
-                else Some (Printf.sprintf "relation %s differs" name))
-              names
-          in
-          match facts_diff with
-          | Some d -> Disagree ("row vs columnar: " ^ d)
-          | None -> (
-              match stats_diff s1 s2 with
-              | Some d -> Disagree ("row vs columnar: " ^ d)
-              | None -> Agree))
-      | Error e1, Error e2 ->
-          if e1 = e2 then Agree
-          else
-            Disagree
-              (Printf.sprintf "row vs columnar error messages differ: %s vs %s"
-                 e1 e2)
-      | Ok _, Error e -> Disagree ("columnar path errored, row did not: " ^ e)
-      | Error e, Ok _ -> Disagree ("row path errored, columnar did not: " ^ e))
+      compare_chases
+        ("row", chase ~columnar:false mapping data)
+        ("columnar", chase ~columnar:true mapping data)
+        mapping
 
-(* --- axis: sharded vs unsharded chase --------------------------------- *)
+(* --- axis: parallel vs sequential chase -------------------------------- *)
 
-let check_shards scenario =
-  Shard.Driver.install ();
+(* Two workers plus the submitting domain, created once and shared by
+   every scenario of the process. *)
+let parallel_pool =
+  lazy
+    (let pool = Engine.Pool.create ~size:2 () in
+     at_exit (fun () -> Engine.Pool.shutdown pool);
+     pool)
+
+let check_parallel scenario =
   match Result.bind (compiled scenario) Core.mapping_of with
   | Error msg -> Disagree ("no mapping: " ^ msg)
-  | Ok mapping -> (
+  | Ok mapping ->
       let data = scenario.Scenario.data in
-      let sharded mapping data =
-        Exchange.Chase.run ~shards:3 mapping
-          (Exchange.Instance.of_registry (Registry.copy data))
-      in
-      match (chase ~columnar:true mapping data, sharded mapping data) with
-      | Ok (j1, _), Ok (j2, _) -> (
-          let names =
-            List.map
-              (fun (s : Schema.t) -> s.Schema.name)
-              mapping.Mappings.Mapping.target
-          in
-          let facts_diff =
-            List.find_map
-              (fun name ->
-                if
-                  Exchange.Instance.facts j1 name
-                  = Exchange.Instance.facts j2 name
-                then None
-                else Some (Printf.sprintf "relation %s differs" name))
-              names
-          in
-          match facts_diff with
-          | Some d -> Disagree ("sharded vs unsharded: " ^ d)
-          | None -> Agree)
-      | Error _, Error _ ->
-          (* both reject; tgd errors may surface in per-shard order, so
-             message equality is not required — the verdict is *)
-          Agree
-      | Ok _, Error e -> Disagree ("sharded chase errored, unsharded did not: " ^ e)
-      | Error e, Ok _ -> Disagree ("unsharded chase errored, sharded did not: " ^ e))
+      let executor = Engine.Pool.executor (Lazy.force parallel_pool) in
+      compare_chases
+        ("sequential", chase ~columnar:true mapping data)
+        ("parallel", chase ~columnar:true ~executor mapping data)
+        mapping
 
 (* --- axis: optimized mapping ------------------------------------------ *)
 
@@ -513,7 +503,7 @@ let check_axis ~fuse scenario axis =
   | Lattice.Fusion -> check_fusion ~fuse scenario
   | Lattice.Incremental -> check_incremental scenario
   | Lattice.Faults -> check_faults scenario
-  | Lattice.Shards -> check_shards scenario
+  | Lattice.Parallel -> check_parallel scenario
 
 let run ?(axes = Lattice.all) ?(fuse = Lattice.Safe) scenario =
   List.map

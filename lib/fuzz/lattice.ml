@@ -7,7 +7,7 @@ type axis =
   | Fusion
   | Incremental
   | Faults
-  | Shards
+  | Parallel
 
 let all =
   [
@@ -19,7 +19,7 @@ let all =
     Fusion;
     Incremental;
     Faults;
-    Shards;
+    Parallel;
   ]
 
 let name = function
@@ -31,7 +31,7 @@ let name = function
   | Fusion -> "fusion"
   | Incremental -> "incremental"
   | Faults -> "faults"
-  | Shards -> "shards"
+  | Parallel -> "parallel"
 
 let axis_of_name s = List.find_opt (fun a -> name a = s) all
 

@@ -15,7 +15,9 @@ type axis =
   | Fusion  (** fused mapping == unfused (mode selects the fuser) *)
   | Incremental  (** apply_updates == from-scratch recomputation *)
   | Faults  (** sql-free faulted run == fault-free run, non-degraded *)
-  | Shards  (** sharded multicore chase == unsharded chase *)
+  | Parallel
+      (** chase on a 2-worker domain pool == sequential chase,
+          counters and errors included *)
 
 val all : axis list
 (** Every axis, in the order above. *)

@@ -702,6 +702,10 @@ let create ?(config = default_config) ?report engine =
 let listen_inet ?(backlog = 128) ~host ~port () =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  (* Replies are small writes; without TCP_NODELAY a pipelined reply
+     waits on the client's delayed ACK.  Accepted sockets inherit the
+     option from the listener. *)
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
   Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
   Unix.listen fd backlog;
   let actual =

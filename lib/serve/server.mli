@@ -82,8 +82,9 @@ val handle_request : t -> Http.request -> reply
 
 val listen_inet :
   ?backlog:int -> host:string -> port:int -> unit -> Unix.file_descr * int
-(** Bound + listening TCP socket; returns the actual port (pass
-    [port:0] for an ephemeral one). *)
+(** Bound + listening TCP socket with [TCP_NODELAY] set, which the
+    sockets it accepts inherit; returns the actual port (pass [port:0]
+    for an ephemeral one). *)
 
 val listen_unix : ?backlog:int -> path:string -> unit -> Unix.file_descr
 (** Bound + listening Unix-domain socket (unlinks [path] first). *)

@@ -324,16 +324,23 @@ let test_coalescing_merges_batches () =
     in
     (th, out)
   in
-  let p1 = post "set SALES 2024M03 rome 5\n" in
-  let p2 = post "del SALES 2024M03 rome\n" in
-  let p3 = post "set SALES 2024M01 rome 40\n" in
-  let rec wait_queued n =
-    if Server.queue_depth t < 3 && n > 0 then begin
+  let rec wait_queued depth n =
+    if Server.queue_depth t < depth && n > 0 then begin
       Thread.delay 0.002;
-      wait_queued (n - 1)
+      wait_queued depth (n - 1)
     end
   in
-  wait_queued 500;
+  (* Posting threads race to the queue; wait for each batch to land
+     before posting the next, so the set precedes the del that
+     cancels it. *)
+  let post_queued depth body =
+    let p = post body in
+    wait_queued depth 500;
+    p
+  in
+  let p1 = post_queued 1 "set SALES 2024M03 rome 5\n" in
+  let p2 = post_queued 2 "del SALES 2024M03 rome\n" in
+  let p3 = post_queued 3 "set SALES 2024M01 rome 40\n" in
   Alcotest.(check int) "three batches queued" 3 (Server.queue_depth t);
   Server.resume_writer t;
   List.iter
@@ -502,6 +509,22 @@ let http ~port ?(headers = []) ?body meth target =
       in
       (status, body))
 
+let test_listener_nodelay () =
+  let fd, port = Server.listen_inet ~host:"127.0.0.1" ~port:0 () in
+  let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close client;
+      Unix.close fd)
+    (fun () ->
+      Unix.connect client (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let accepted, _ = Unix.accept fd in
+      Fun.protect
+        ~finally:(fun () -> Unix.close accepted)
+        (fun () ->
+          Alcotest.(check bool) "accepted socket has TCP_NODELAY" true
+            (Unix.getsockopt accepted Unix.TCP_NODELAY)))
+
 let test_socket_end_to_end () =
   let t = boot_server () in
   let fd, port = Server.listen_inet ~host:"127.0.0.1" ~port:0 () in
@@ -657,4 +680,5 @@ let suite =
     ("metrics: prometheus exposition parses", `Quick, test_metrics_exposition);
     ("socket: concurrent clients end to end", `Quick, test_socket_end_to_end);
     ("history: concurrent as-of reads see no torn state", `Quick, test_concurrent_asof_reads);
+    ("socket: accepted TCP connections have TCP_NODELAY", `Quick, test_listener_nodelay);
   ]
