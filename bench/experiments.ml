@@ -1,4 +1,4 @@
-(* The experiment harness: X1-X9 (see DESIGN.md and EXPERIMENTS.md).
+(* The experiment harness: X1-X13 (see DESIGN.md and EXPERIMENTS.md).
 
    The paper has no quantitative evaluation tables (it is an industrial
    experience paper); these experiments quantify each claim its prose
@@ -524,76 +524,6 @@ let x8 () =
        multicore host the three stl-heavy groups scale toward min(3, cores)x." 
 
 (* ------------------------------------------------------------------ *)
-(* X9 — incremental (delta) chase: revisions touch few tuples; work
-   should scale with the revision, not the instance. *)
-
-let x9 () =
-  header "X9  Incremental chase vs full re-chase [ms vs fraction revised]";
-  let rows = 40_000 in
-  let program = compile_exn Workload.join_program in
-  let mapping =
-    match Mappings.Generate.of_checked program with
-    | Ok g -> g.Mappings.Generate.mapping
-    | Error e -> failwith (Exl.Errors.to_string e)
-  in
-  let reg = Workload.join_registry ~rows () in
-  let base_source = Exchange.Instance.of_registry reg in
-  let base =
-    match Exchange.Chase.run mapping base_source with
-    | Ok (j, _) -> j
-    | Error msg -> failwith msg
-  in
-  Printf.printf "%12s %14s %14s %14s %12s %14s\n" "revised" "full chase"
-    "incremental" "in-place" "speedup" "facts touched";
-  List.iter
-    (fun fraction ->
-      (* revise the first [fraction] of A's tuples *)
-      let revised = Matrix.Registry.copy reg in
-      let a = Matrix.Registry.find_exn revised "A" in
-      let keys = Matrix.Cube.keys a in
-      let to_change = int_of_float (float_of_int rows *. fraction) in
-      List.iteri
-        (fun i k ->
-          if i < to_change then
-            match Matrix.Cube.find a k with
-            | Some v ->
-                Matrix.Cube.set a k
-                  (Matrix.Value.Float (Matrix.Value.to_float_exn v +. 0.5))
-            | None -> ())
-        keys;
-      let source = Exchange.Instance.of_registry revised in
-      let full_seconds =
-        time_avg (fun () ->
-            match Exchange.Chase.run mapping source with
-            | Ok _ -> ()
-            | Error msg -> failwith msg)
-      in
-      let touched = ref 0 in
-      let incr_seconds =
-        time_avg (fun () ->
-            match Exchange.Delta.run_incremental mapping ~base ~source with
-            | Ok (_, stats) -> touched := stats.Exchange.Chase.tuples_generated
-            | Error msg -> failwith msg)
-      in
-      (* maintenance mode: the engine updates its live solution *)
-      let live = Exchange.Instance.copy base in
-      let _, in_place_seconds =
-        time_once (fun () ->
-            match
-              Exchange.Delta.run_incremental ~in_place:true mapping ~base:live
-                ~source
-            with
-            | Ok r -> r
-            | Error msg -> failwith msg)
-      in
-      Printf.printf "%11.1f%% %14.1f %14.1f %14.1f %11.1fx %14d\n%!"
-        (fraction *. 100.) (ms full_seconds) (ms incr_seconds)
-        (ms in_place_seconds)
-        (full_seconds /. in_place_seconds)
-        !touched)
-    [ 0.001; 0.01; 0.1; 0.5 ]
-
-(* ------------------------------------------------------------------ *)
 (* X10 — observability overhead.  The exl-obs layer is an ambient
    nullable sink: with no collector installed every instrumentation
    site is an atomic load and a branch, so the instrumented engine must
@@ -968,7 +898,6 @@ let all () =
   x6 ();
   x7 ();
   x8 ();
-  x9 ();
   x10 ();
   x11 ();
   x12 ();

@@ -1,6 +1,6 @@
 (* Benchmark entry point.
 
-     dune exec bench/main.exe            -- run experiments X1-X6 + micro suite
+     dune exec bench/main.exe            -- run experiments X1-X13 + micro suite
      dune exec bench/main.exe -- x3      -- one experiment
      dune exec bench/main.exe -- micro   -- only the Bechamel micro suite
 
@@ -320,7 +320,6 @@ let () =
   | _ :: "x6" :: _ -> Experiments.x6 ()
   | _ :: "x7" :: _ -> Experiments.x7 ()
   | _ :: "x8" :: _ -> Experiments.x8 ()
-  | _ :: "x9" :: _ -> Experiments.x9 ()
   | _ :: "x10" :: _ -> Experiments.x10 ()
   | _ :: "x11" :: _ -> Experiments.x11 ()
   | _ :: "x12" :: _ -> Experiments.x12 ()

@@ -8,12 +8,6 @@ type config = {
   retry : Dispatcher.retry_policy;
   faults : Faults.plan option;
       (* injected failures, for drills and tests; None in production *)
-  optimize : bool;
-      (* run the exl-opt containment pass on generated mappings before
-         chasing them; on by default, opt out for A/B runs *)
-  columnar : bool;
-      (* chase through the vectorized column-batch kernels; on by
-         default, opt out for A/B runs against the row path *)
 }
 
 let default_config =
@@ -24,8 +18,6 @@ let default_config =
     parallel_dispatch = false;
     retry = Dispatcher.default_retry;
     faults = None;
-    optimize = true;
-    columnar = true;
   }
 
 (* The solution cache of the incremental path: the chase instance a
@@ -259,12 +251,10 @@ let rebuild_solution t covered =
          temporaries), so pruning temporaries is invisible to
          [store_derived]. *)
       let mapping =
-        if t.config.optimize then
-          (Analysis.Optimize.run generated).Analysis.Optimize.optimized
-        else generated
+        (Analysis.Optimize.run generated).Analysis.Optimize.optimized
       in
       let source = Exchange.Instance.of_registry t.store in
-      match Exchange.Chase.run ~columnar:t.config.columnar mapping source with
+      match Exchange.Chase.run mapping source with
       | Error _ as e -> e
       | Ok (instance, stats) ->
           let sol =

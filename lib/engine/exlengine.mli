@@ -17,16 +17,6 @@ type config = {
   faults : Faults.plan option;
       (** Deterministic fault injection for drills and tests;
           [None] (production) injects nothing. *)
-  optimize : bool;
-      (** Run the exl-opt containment pass ({!Analysis.Optimize}) on
-          generated mappings before chasing them.  On by default; the
-          optimized mapping is what gets chased, cached, and repaired
-          incrementally. *)
-  columnar : bool;
-      (** Chase through the vectorized column-batch kernels
-          ({!Exchange.Chase.run}'s [columnar]).  On by default —
-          solutions and counters are identical to the row path; opt
-          out for A/B comparisons. *)
 }
 
 val default_config : config
@@ -101,7 +91,8 @@ val apply_updates :
     comes from {!Determination.dirty_set}; propagation seeds
     {!Exchange.Chase.incremental} with the fact deltas against the
     cached solution of the previous batch, or falls back to one full
-    semi-naive chase when no cached solution exists (first batch, or
+    semi-naive chase of the optimized mapping ({!Analysis.Optimize})
+    when no cached solution exists (first batch, or
     after {!load_elementary} / {!register_program} / {!load_store}
     invalidated it).  Affected cubes get a new dated version in the
     history; unaffected cubes keep theirs, so {!cube_as_of} still

@@ -12,14 +12,3 @@ let term_value b term = Term.eval (lookup b) term
 
 let term_fully_bound b term =
   List.for_all (fun v -> lookup b v <> None) (Term.vars term)
-
-let merge (a : t) (b : t) : t option =
-  List.fold_left
-    (fun acc (v, value) ->
-      match acc with
-      | None -> None
-      | Some bnd -> (
-          match lookup bnd v with
-          | Some bound -> if Value.equal bound value then Some bnd else None
-          | None -> Some (bind bnd v value)))
-    (Some a) b

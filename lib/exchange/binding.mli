@@ -1,9 +1,8 @@
 open Matrix
 
-(** Variable bindings shared by the full chase ({!Chase}) and the
-    incremental chase ({!Delta}): a partial map from tgd variables to
-    values with functional extension, so backtracking search keeps
-    earlier states intact for free. *)
+(** Variable bindings of the chase ({!Chase}, {!Vchase}): a partial
+    map from tgd variables to values with functional extension, so
+    backtracking search keeps earlier states intact for free. *)
 
 type t = (string * Value.t) list
 
@@ -17,6 +16,3 @@ val term_value : t -> Mappings.Term.t -> Value.t option
     semantics). *)
 
 val term_fully_bound : t -> Mappings.Term.t -> bool
-
-val merge : t -> t -> t option
-(** Union of two bindings; [None] on conflicting values. *)

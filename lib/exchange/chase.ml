@@ -437,11 +437,6 @@ let wrap_chase f =
         (Printf.sprintf "functionality violation in %s at %s" cube
            (Tuple.to_string key))
 
-let apply_tgd instance tgd stats =
-  wrap_chase (fun () ->
-      apply_body_full ~matcher:match_atoms instance stats (fun _ _ -> ()) tgd;
-      stats.tgds_applied <- stats.tgds_applied + 1)
-
 let check_egd instance (egd : Mappings.Egd.t) stats =
   match Instance.schema instance egd.Mappings.Egd.relation with
   | None -> Ok ()
@@ -1154,7 +1149,7 @@ let incr_agg_tgd instance stats istats bags ~fresh (source : Tgd.atom) group_by
     affected;
   { added = !added; removed = !removed }
 
-let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
+let incremental ?(check_egds = true) ?(executor = sequential_executor) ~state
     (m : Mappings.Mapping.t) ~solution ~deltas =
   match !static_check m with
   | Error msg -> Error ("static check failed before chase: " ^ msg)
@@ -1218,13 +1213,13 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
             end
             else begin
               (* Per-tgd plan.  Insert-only tuple-level tgds replay
-                 seeded delta rounds; aggregations with persistent
-                 state re-aggregate affected groups; everything else
-                 (tuple-level deletions, blackbox, outer combine, and
-                 any tgd in a self-feeding fallback stratum) rederives
-                 DRed-style.  A tgd sharing a target with a rederived
-                 tgd must rederive too, or the target clear would lose
-                 its facts. *)
+                 seeded delta rounds; aggregations re-aggregate the
+                 affected groups from their persistent bags; everything
+                 else (tuple-level deletions, blackbox, outer combine,
+                 and any tgd in a self-feeding fallback stratum)
+                 rederives DRed-style.  A tgd sharing a target with a
+                 rederived tgd must rederive too, or the target clear
+                 would lose its facts. *)
               let stratum_targets =
                 List.sort_uniq String.compare
                   (List.map Tgd.target_relation stratum)
@@ -1246,49 +1241,53 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
                            (List.exists delta_removed
                               (Tgd.source_relations tgd)) ->
                       `Delta
-                  | Tgd.Aggregation _ when state <> None -> `Agg
+                  | Tgd.Aggregation { source; group_by; aggr; measure; target }
+                    ->
+                      `Agg (source, group_by, aggr, measure, target)
                   | _ -> `Rederive
               in
               let plans = List.map (fun tgd -> (tgd, plan_of tgd)) selected in
               let rederive_targets = Hashtbl.create 4 in
               List.iter
-                (fun (tgd, plan) ->
-                  if plan = `Rederive then
-                    Hashtbl.replace rederive_targets (Tgd.target_relation tgd)
-                      ())
+                (function
+                  | tgd, `Rederive ->
+                      Hashtbl.replace rederive_targets (Tgd.target_relation tgd)
+                        ()
+                  | _ -> ())
                 plans;
               (* One pass suffices: demoting a tgd adds no new target. *)
               let plans =
                 List.map
                   (fun (tgd, plan) ->
-                    if
-                      plan <> `Rederive
-                      && Hashtbl.mem rederive_targets (Tgd.target_relation tgd)
+                    if Hashtbl.mem rederive_targets (Tgd.target_relation tgd)
                     then (tgd, `Rederive)
                     else (tgd, plan))
                   plans
               in
-              let of_plan p =
+              let rederive =
                 List.filter_map
-                  (fun (tgd, plan) -> if plan = p then Some tgd else None)
+                  (function tgd, `Rederive -> Some tgd | _ -> None)
                   plans
               in
-              let rederive = of_plan `Rederive in
-              let aggs = of_plan `Agg in
-              let delta_tl = of_plan `Delta in
+              let aggs =
+                List.filter_map
+                  (function tgd, `Agg agg -> Some (tgd, agg) | _ -> None)
+                  plans
+              in
+              let delta_tl =
+                List.filter_map
+                  (function tgd, `Delta -> Some tgd | _ -> None)
+                  plans
+              in
               (* A rederived aggregation's bags go stale (its target is
                  rebuilt outside the bag bookkeeping): drop them so the
                  next touching batch rebuilds from the source. *)
-              (match state with
-              | Some st ->
-                  List.iter
-                    (fun tgd ->
-                      match tgd with
-                      | Tgd.Aggregation _ ->
-                          Hashtbl.remove st (Tgd.to_string tgd)
-                      | _ -> ())
-                    rederive
-              | None -> ());
+              List.iter
+                (fun tgd ->
+                  match tgd with
+                  | Tgd.Aggregation _ -> Hashtbl.remove state (Tgd.to_string tgd)
+                  | _ -> ())
+                rederive;
               let mode = if rederive <> [] then "rederive" else "delta" in
               if rederive <> [] then
                 istats.strata_rederived <- istats.strata_rederived + 1
@@ -1314,44 +1313,36 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
                   let* out2 =
                     if aggs = [] then Ok []
                     else
-                      let st = Option.get state in
                       let outs = ref [] in
                       Result.map
                         (fun () -> !outs)
                         (wrap_chase (fun () ->
                              List.iter
-                               (fun tgd ->
-                                 match tgd with
-                                 | Tgd.Aggregation
-                                     { source; group_by; aggr; measure; target }
-                                   ->
-                                     let key = Tgd.to_string tgd in
-                                     let bags, fresh =
-                                       match Hashtbl.find_opt st key with
-                                       | Some bags -> (bags, false)
-                                       | None ->
-                                           let bags =
-                                             build_agg_bags solution stats
-                                               source group_by measure
-                                           in
-                                           Hashtbl.replace st key bags;
-                                           (bags, true)
-                                     in
-                                     let delta =
-                                       Option.value ~default:empty_delta
-                                         (Hashtbl.find_opt current
-                                            source.Tgd.rel)
-                                     in
-                                     let d =
-                                       incr_agg_tgd solution stats istats bags
-                                         ~fresh source group_by aggr measure
-                                         target ~delta
-                                     in
-                                     stats.tgds_applied <-
-                                       stats.tgds_applied + 1;
-                                     if d.added <> [] || d.removed <> [] then
-                                       outs := (target, d) :: !outs
-                                 | _ -> assert false)
+                               (fun (tgd, (source, group_by, aggr, measure, target))
+                                  ->
+                                 let key = Tgd.to_string tgd in
+                                 let bags, fresh =
+                                   match Hashtbl.find_opt state key with
+                                   | Some bags -> (bags, false)
+                                   | None ->
+                                       let bags =
+                                         build_agg_bags solution stats source
+                                           group_by measure
+                                       in
+                                       Hashtbl.replace state key bags;
+                                       (bags, true)
+                                 in
+                                 let delta =
+                                   Option.value ~default:empty_delta
+                                     (Hashtbl.find_opt current source.Tgd.rel)
+                                 in
+                                 let d =
+                                   incr_agg_tgd solution stats istats bags ~fresh
+                                     source group_by aggr measure target ~delta
+                                 in
+                                 stats.tgds_applied <- stats.tgds_applied + 1;
+                                 if d.added <> [] || d.removed <> [] then
+                                   outs := (target, d) :: !outs)
                                aggs))
                   in
                   let* out3 =

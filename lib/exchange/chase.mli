@@ -24,12 +24,6 @@ type stats = {
   mutable rounds : int;  (** evaluation rounds executed by the driver *)
 }
 
-val empty_stats : unit -> stats
-
-val merge_stats : into:stats -> stats -> unit
-(** Fold per-task counters into an accumulator ([rounds] excluded — it
-    is driver bookkeeping, never task-local). *)
-
 type mode =
   | Naive
       (** Textbook naive evaluation, kept as the benchmark baseline:
@@ -89,11 +83,12 @@ type incr_stats = {
   mutable strata_skipped : int;
       (** strata no delta reached — not evaluated at all *)
   mutable strata_delta : int;
-      (** insert-only tuple-level strata run via seeded semi-naive
-          delta rounds *)
+      (** strata repaired without rederivation: seeded semi-naive
+          delta rounds for insert-only tuple-level tgds, group-scoped
+          re-aggregation for aggregations *)
   mutable strata_rederived : int;
-      (** strata rebuilt DRed-style (deletions, or aggregation /
-          blackbox / outer tgds) *)
+      (** strata with at least one tgd rebuilt DRed-style (tuple-level
+          deletions, blackbox, outer combine, self-feeding strata) *)
   mutable facts_rederived : int;
       (** facts (re)derived during propagation — compare with the
           solution's total fact count for the work saved *)
@@ -113,7 +108,7 @@ val create_incr_state : unit -> incr_state
 val incremental :
   ?check_egds:bool ->
   ?executor:((unit -> unit) list -> unit) ->
-  ?state:incr_state ->
+  state:incr_state ->
   Mappings.Mapping.t ->
   solution:Instance.t ->
   deltas:(string * fact_delta) list ->
@@ -129,10 +124,10 @@ val incremental :
     re-evaluated in stratification order: a stratum no delta reaches is
     skipped outright; an insert-only tuple-level tgd runs seeded
     semi-naive delta rounds against the persistent indexes; an
-    aggregation tgd, when [state] is supplied, re-aggregates only the
-    groups its source delta falls in (see {!incr_state}); any other
-    touched tgd (tuple-level deletions, blackbox, outer combine, or
-    aggregation without [state]) is rederived DRed-style — its touched
+    aggregation tgd re-aggregates only the groups its source delta
+    falls in, from the measure bags kept in [state] (see
+    {!incr_state}); any other touched tgd (tuple-level deletions,
+    blackbox, outer combine) is rederived DRed-style — its touched
     targets are over-deleted and re-run from their updated sources,
     and the old-vs-new diff becomes the (compact) delta for the strata
     above.  Functionality egds are re-checked on every touched target.
@@ -142,9 +137,3 @@ val incremental :
 
     On success the repaired [solution] equals what a from-scratch
     {!run} on the updated sources would produce. *)
-
-val apply_tgd : Instance.t -> Mappings.Tgd.t -> stats -> (unit, string) result
-(** Apply one tgd exhaustively against the instance, with the naive
-    per-application caches (exposed for unit tests). *)
-
-val check_egd : Instance.t -> Mappings.Egd.t -> stats -> (unit, string) result

@@ -26,7 +26,6 @@ let () =
       ("outer", Test_outer.suite);
       ("exchange", Test_exchange.suite);
       ("columnar", Test_columnar.suite);
-      ("delta", Test_delta.suite);
       ("relational", Test_relational.suite);
       ("vector", Test_vector.suite);
       ("etl", Test_etl.suite);

@@ -228,7 +228,10 @@ let test_chase_incremental_insert_only () =
     [ ("A", { Exchange.Chase.added = [ [| vq 2024 3; vs "n"; vf 4. |] ]; removed = [] }) ]
   in
   let _, istats =
-    ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+    ok
+      (Exchange.Chase.incremental
+         ~state:(Exchange.Chase.create_incr_state ())
+         mapping ~solution ~deltas)
   in
   Alcotest.(check int) "insert-only fast path" 1
     istats.Exchange.Chase.strata_delta;
@@ -248,7 +251,10 @@ let test_chase_incremental_removal_rederives () =
     [ ("A", { Exchange.Chase.added = []; removed = [ [| vq 2024 2; vs "n"; vf 3. |] ] }) ]
   in
   let _, istats =
-    ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+    ok
+      (Exchange.Chase.incremental
+         ~state:(Exchange.Chase.create_incr_state ())
+         mapping ~solution ~deltas)
   in
   Alcotest.(check int) "DRed rederivation" 1
     istats.Exchange.Chase.strata_rederived;
@@ -275,7 +281,10 @@ let test_chase_incremental_skips_unreached_strata () =
     [ ("A", { Exchange.Chase.added = [ [| vq 2024 2; vf 7. |] ]; removed = [] }) ]
   in
   let _, istats =
-    ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+    ok
+      (Exchange.Chase.incremental
+         ~state:(Exchange.Chase.create_incr_state ())
+         mapping ~solution ~deltas)
   in
   Alcotest.(check bool) "some stratum skipped outright" true
     (istats.Exchange.Chase.strata_skipped >= 1);
@@ -298,19 +307,19 @@ let test_chase_incremental_aggregation_revision () =
         } );
     ]
   in
-  let _, istats =
-    ok (Exchange.Chase.incremental mapping ~solution ~deltas)
-  in
-  Alcotest.(check int) "aggregation stratum rederived" 1
-    istats.Exchange.Chase.strata_rederived;
+  ignore
+    (ok
+       (Exchange.Chase.incremental
+          ~state:(Exchange.Chase.create_incr_state ())
+          mapping ~solution ~deltas));
   Cube.set (Registry.find_exn reg "A") (key [ vq 2024 1; vs "n" ]) (vf 9.);
   let scratch = solve mapping reg in
   check_relation_eq "S repaired" solution scratch "S"
 
-(* With persistent aggregation state the same revision takes the
-   group-scoped path (no stratum rederived), and a second batch — the
-   steady state, bags maintained rather than rebuilt — still matches a
-   from-scratch run, including a deletion that empties a group. *)
+(* The same revision takes the group-scoped path (no stratum
+   rederived), and a second batch — the steady state, bags maintained
+   rather than rebuilt — still matches a from-scratch run, including a
+   deletion that empties a group. *)
 let test_chase_incremental_aggregation_state () =
   let source = "cube A(t: quarter, r: string);\nS := sum(A, group by t);\n" in
   let mapping = mapping_of source ~cubes:[ "S" ] in
@@ -349,6 +358,251 @@ let test_chase_incremental_aggregation_state () =
   Cube.remove (Registry.find_exn reg "A") (key [ vq 2024 2; vs "n" ]);
   check_relation_eq "S repaired (deletion empties group)" solution
     (solve mapping reg) "S"
+
+(* --- repairing generated mappings: Chase.incremental == Chase.run ---
+
+   The cases below chase the plain generated mapping of a program (no
+   optimizer), revise the elementary data, repair the solution with
+   Chase.incremental and compare it with a from-scratch Chase.run. *)
+
+let generated_mapping src =
+  (check_ok (Mappings.Generate.of_source src)).Mappings.Generate.mapping
+
+let fact k v = Array.append (Tuple.to_array k) [| v |]
+
+(* Apply [edits] — (cube, key, new measure or [None] to delete) — to a
+   copy of [reg]; returns the revised copy and the fact deltas.  Each
+   key is edited at most once. *)
+let revise reg edits =
+  let out = Registry.copy reg in
+  let deltas = Hashtbl.create 4 in
+  List.iter
+    (fun (name, k, next) ->
+      let cube = Registry.find_exn out name in
+      let prev = Cube.find cube k in
+      (match next with Some v -> Cube.set cube k v | None -> Cube.remove cube k);
+      let facts = function Some v -> [ fact k v ] | None -> [] in
+      let d =
+        Option.value (Hashtbl.find_opt deltas name)
+          ~default:{ Exchange.Chase.added = []; removed = [] }
+      in
+      Hashtbl.replace deltas name
+        {
+          Exchange.Chase.added = facts next @ d.Exchange.Chase.added;
+          removed = facts prev @ d.Exchange.Chase.removed;
+        })
+    edits;
+  (out, List.of_seq (Hashtbl.to_seq deltas))
+
+let repair mapping ~solution deltas =
+  ok
+    (Exchange.Chase.incremental
+       ~state:(Exchange.Chase.create_incr_state ())
+       mapping ~solution ~deltas)
+
+let solutions_agree what mapping ~want ~got =
+  List.iter
+    (fun (schema : Schema.t) ->
+      let name = schema.Schema.name in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: relation %s" what name)
+        true
+        (Cube.equal_data ~eps:1e-7
+           (Exchange.Instance.cube_of_relation want name)
+           (Exchange.Instance.cube_of_relation got name)))
+    mapping.Mappings.Mapping.target
+
+(* Revise one quarterly per-capita figure of the overview. *)
+let overview_revision reg factor =
+  let k = key [ vq 2021 2; vs "north" ] in
+  let v =
+    Value.to_float_exn (Option.get (Cube.find (Registry.find_exn reg "RGDPPC") k))
+  in
+  revise reg [ ("RGDPPC", k, Some (vf (v *. factor))) ]
+
+let test_repair_no_change_is_noop () =
+  let reg = overview_registry () in
+  let mapping = generated_mapping Helpers.overview_program in
+  let solution = solve mapping reg in
+  (* re-adding a fact already present is no change under set semantics *)
+  let pdr = Registry.find_exn reg "PDR" in
+  let k = List.hd (Cube.keys pdr) in
+  let present = fact k (Option.get (Cube.find pdr k)) in
+  let stats, istats =
+    repair mapping ~solution
+      [ ("PDR", { Exchange.Chase.added = [ present ]; removed = [] }) ]
+  in
+  Alcotest.(check int) "no input delta" 0 istats.Exchange.Chase.input_facts;
+  Alcotest.(check int) "nothing rederived" 0 istats.Exchange.Chase.facts_rederived;
+  Alcotest.(check int) "no facts generated" 0 stats.Exchange.Chase.tuples_generated;
+  Alcotest.(check int) "every stratum skipped" istats.Exchange.Chase.strata_total
+    istats.Exchange.Chase.strata_skipped;
+  solutions_agree "unchanged" mapping ~want:(solve mapping reg) ~got:solution
+
+let test_repair_overview_revision () =
+  let reg = overview_registry () in
+  let mapping = generated_mapping Helpers.overview_program in
+  let solution = solve mapping reg in
+  let revised, deltas = overview_revision reg 1.05 in
+  let _, istats = repair mapping ~solution deltas in
+  solutions_agree "one RGDPPC revision" mapping ~want:(solve mapping revised)
+    ~got:solution;
+  Alcotest.(check bool)
+    (Printf.sprintf "partial work (%d facts rederived)"
+       istats.Exchange.Chase.facts_rederived)
+    true
+    (istats.Exchange.Chase.facts_rederived
+    < Exchange.Instance.total_facts solution)
+
+let test_repair_skips_unaffected_branch () =
+  let reg = overview_registry () in
+  let mapping = generated_mapping Helpers.overview_program in
+  let solution = solve mapping reg in
+  let pqr = Exchange.Instance.cube_of_relation solution "PQR" in
+  let _, deltas = overview_revision reg 1.05 in
+  let _, istats = repair mapping ~solution deltas in
+  (* PQR depends only on PDR: its stratum is never evaluated *)
+  Alcotest.(check bool) "PQR stratum skipped" true
+    (istats.Exchange.Chase.strata_skipped >= 1);
+  Alcotest.check cube_eq "PQR untouched" pqr
+    (Exchange.Instance.cube_of_relation solution "PQR")
+
+let test_repair_insertion_and_deletion () =
+  let dims = [ ("q", Domain.Period (Some Calendar.Quarter)); ("r", Domain.String) ] in
+  let mapping =
+    generated_mapping
+      "cube A(q: quarter, r: string);\n\
+       cube B(q: quarter, r: string);\n\
+       C := A * B;\n\
+       S := sum(C, group by q);\n"
+  in
+  let reg = Registry.create () in
+  Registry.add reg Registry.Elementary
+    (cube_of "A" dims [ [ vq 2024 1; vs "x"; vf 2. ]; [ vq 2024 2; vs "x"; vf 3. ] ]);
+  Registry.add reg Registry.Elementary
+    (cube_of "B" dims [ [ vq 2024 1; vs "x"; vf 10. ]; [ vq 2024 2; vs "x"; vf 10. ] ]);
+  let solution = solve mapping reg in
+  (* delete one A tuple, insert another with its B partner *)
+  let revised, deltas =
+    revise reg
+      [
+        ("A", key [ vq 2024 1; vs "x" ], None);
+        ("A", key [ vq 2024 3; vs "x" ], Some (vf 7.));
+        ("B", key [ vq 2024 3; vs "x" ], Some (vf 10.));
+      ]
+  in
+  ignore (repair mapping ~solution deltas);
+  solutions_agree "insert + delete" mapping ~want:(solve mapping revised)
+    ~got:solution;
+  let c = Exchange.Instance.cube_of_relation solution "C" in
+  Alcotest.(check bool) "old gone" false (Cube.mem c (key [ vq 2024 1; vs "x" ]));
+  Alcotest.check value "new there" (vf 70.)
+    (Option.get (Cube.find c (key [ vq 2024 3; vs "x" ])))
+
+let test_repair_both_join_sides () =
+  (* both join sides revised at the same key: the old join result must
+     go although both of its inputs have already been replaced *)
+  let dims = [ ("q", Domain.Period (Some Calendar.Quarter)) ] in
+  let mapping =
+    generated_mapping "cube A(q: quarter);\ncube B(q: quarter);\nC := A * B;\n"
+  in
+  let reg = Registry.create () in
+  Registry.add reg Registry.Elementary (cube_of "A" dims [ [ vq 2024 1; vf 2. ] ]);
+  Registry.add reg Registry.Elementary (cube_of "B" dims [ [ vq 2024 1; vf 10. ] ]);
+  let solution = solve mapping reg in
+  let k = key [ vq 2024 1 ] in
+  let _, deltas = revise reg [ ("A", k, Some (vf 3.)); ("B", k, Some (vf 20.)) ] in
+  ignore (repair mapping ~solution deltas);
+  let c = Exchange.Instance.cube_of_relation solution "C" in
+  Alcotest.(check int) "one fact" 1 (Cube.cardinality c);
+  Alcotest.check value "3*20" (vf 60.) (Option.get (Cube.find c k))
+
+(* Secondary indexes built on the live solution must stay consistent
+   through the insert/remove traffic of the repair. *)
+let test_repair_keeps_indexes () =
+  let reg = overview_registry () in
+  let mapping = generated_mapping Helpers.overview_program in
+  let solution = solve mapping reg in
+  let indexed =
+    List.filter_map
+      (fun (schema : Schema.t) ->
+        if Array.length schema.Schema.dims > 0 then Some schema.Schema.name
+        else None)
+      mapping.Mappings.Mapping.target
+  in
+  List.iter (fun name -> Exchange.Instance.ensure_index solution name [ 0 ]) indexed;
+  let revised, deltas = overview_revision reg 1.07 in
+  ignore (repair mapping ~solution deltas);
+  solutions_agree "after repair" mapping ~want:(solve mapping revised) ~got:solution;
+  (* every index bucket agrees with a fresh scan of the relation *)
+  List.iter
+    (fun name ->
+      (* the repair may add further indexes of its own; ours must survive *)
+      Alcotest.(check bool)
+        (name ^ " still indexed") true
+        (List.mem [ 0 ] (Exchange.Instance.indexed_positions solution name));
+      let facts = Exchange.Instance.facts solution name in
+      List.iter
+        (fun f ->
+          let bucket = Exchange.Instance.lookup_index solution name [ 0 ] [ f.(0) ] in
+          let scan = List.filter (fun g -> Value.equal g.(0) f.(0)) facts in
+          Alcotest.(check int)
+            (Printf.sprintf "%s bucket size" name)
+            (List.length scan) (List.length bucket);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s bucket member" name)
+            true
+            (List.exists
+               (fun g -> Tuple.equal (Tuple.of_array g) (Tuple.of_array f))
+               bucket))
+        facts)
+    indexed
+
+let test_repair_blackbox_revision () =
+  (* revise every point of one slice of a two-slice cumsum input *)
+  let mapping =
+    generated_mapping "cube A(q: quarter, r: string);\nT := cumsum(A);\n"
+  in
+  let quarter i = vq (2020 + (i / 4)) ((i mod 4) + 1) in
+  let reg = Registry.create () in
+  Registry.add reg Registry.Elementary
+    (cube_of "A"
+       [ ("q", Domain.Period (Some Calendar.Quarter)); ("r", Domain.String) ]
+       (List.concat_map
+          (fun (r, offset) ->
+            List.init 8 (fun i -> [ quarter i; vs r; vf (offset +. float_of_int i) ]))
+          [ ("a", 0.); ("b", 100.) ]));
+  let solution = solve mapping reg in
+  let revised, deltas =
+    revise reg
+      (List.init 8 (fun i ->
+           ("A", key [ quarter i; vs "a" ], Some (vf (1. +. float_of_int i)))))
+  in
+  ignore (repair mapping ~solution deltas);
+  solutions_agree "cumsum slice revised" mapping ~want:(solve mapping revised)
+    ~got:solution
+
+(* A delta for a relation the solution does not hold is rejected
+   before any delta is applied. *)
+let test_repair_rejects_unknown_relation () =
+  let mapping = mapping_of join_source ~cubes:[ "J" ] in
+  let solution = solve mapping (join_registry ()) in
+  let before = Exchange.Instance.cube_of_relation solution "A" in
+  let msg =
+    err "unknown relation"
+      (Exchange.Chase.incremental
+         ~state:(Exchange.Chase.create_incr_state ())
+         mapping ~solution
+         ~deltas:
+           [
+             ("A", { Exchange.Chase.added = [ [| vq 2024 3; vs "n"; vf 4. |] ]; removed = [] });
+             ("NOPE", { Exchange.Chase.added = []; removed = [] });
+           ])
+  in
+  Alcotest.(check bool) ("names the relation: " ^ msg) true
+    (Astring_contains.contains msg "NOPE");
+  Alcotest.check cube_eq "no delta applied" before
+    (Exchange.Instance.cube_of_relation solution "A")
 
 (* --- the engine facade: apply_updates --- *)
 
@@ -729,6 +983,93 @@ let prop_incremental_equals_scratch =
         (Engine.Determination.derived_order
            (Engine.Exlengine.determination engine)))
 
+(* The chase-level counterpart, on the plain generated mapping: two
+   random revision batches (the second runs against the aggregation
+   bags the first left behind) repaired by Chase.incremental must equal
+   Chase.run from scratch after each batch.  A deletion can leave a
+   black box too little input; then both must fail with the same
+   error, and the repaired instance is discarded. *)
+
+(* About 5% of the keys deleted and 10% revised, plus every key the
+   previous batch deleted inserted again: a re-insertion can refill an
+   emptied group, so insert-only deltas reach the strata above too. *)
+let random_edits st reg ~previous =
+  List.filter_map
+    (function
+      | name, k, None -> Some (name, k, Some (vf (Random.State.float st 10.)))
+      | _ -> None)
+    previous
+  @ List.concat_map
+      (fun name ->
+        let cube = Registry.find_exn reg name in
+        List.filter_map
+          (fun k ->
+            let roll = Random.State.float st 1.0 in
+            if roll < 0.05 then Some (name, k, None)
+            else if roll < 0.15 then
+              let v = Value.to_float_exn (Option.get (Cube.find cube k)) in
+              Some (name, k, Some (vf (v +. 1.25)))
+            else None)
+          (Cube.keys cube))
+      (Registry.elementary_names reg)
+
+let prop_chase_incremental_equals_run =
+  QCheck.Test.make ~count:qcheck_count
+    ~name:"Chase.incremental == Chase.run on generated mappings" arb_seeds
+    (fun (seed, rev_seed) ->
+      let src, reg = Gen.program_of_seed seed in
+      let mapping =
+        match Mappings.Generate.of_source src with
+        | Ok g -> g.Mappings.Generate.mapping
+        | Error e -> QCheck.Test.fail_reportf "gen: %s" (Exl.Errors.to_string e)
+      in
+      let chase reg = Exchange.Chase.run mapping (Exchange.Instance.of_registry reg) in
+      match chase reg with
+      | Error msg -> QCheck.Test.fail_reportf "base chase: %s\n%s" msg src
+      | Ok (solution, _) ->
+          let state = Exchange.Chase.create_incr_state () in
+          let st = Random.State.make [| rev_seed; 77 |] in
+          let rec step i reg previous =
+            i > 2
+            ||
+            let edits = random_edits st reg ~previous in
+            let revised, deltas = revise reg edits in
+            let deltas =
+              List.filter
+                (fun (rel, _) -> Exchange.Instance.schema solution rel <> None)
+                deltas
+            in
+            match
+              ( Exchange.Chase.incremental ~state mapping ~solution ~deltas,
+                chase revised )
+            with
+            | Ok _, Ok (want, _) ->
+                List.iter
+                  (fun (schema : Schema.t) ->
+                    let name = schema.Schema.name in
+                    if
+                      not
+                        (Cube.equal_data ~eps:1e-7
+                           (Exchange.Instance.cube_of_relation want name)
+                           (Exchange.Instance.cube_of_relation solution name))
+                    then
+                      QCheck.Test.fail_reportf "batch %d: relation %s differs on\n%s"
+                        i name src)
+                  mapping.Mappings.Mapping.target;
+                step (i + 1) revised edits
+            | Error e1, Error e2 ->
+                e1 = e2
+                || QCheck.Test.fail_reportf
+                     "batch %d: errors differ: %s vs %s\n%s" i e1 e2 src
+            | Error e, Ok _ ->
+                QCheck.Test.fail_reportf "batch %d: only incremental failed: %s\n%s"
+                  i e src
+            | Ok _, Error e ->
+                QCheck.Test.fail_reportf "batch %d: only Chase.run failed: %s\n%s"
+                  i e src
+          in
+          step 1 reg [])
+
 let suite =
   [
     ("determination: diamond dirty set from elementary", `Quick, test_dirty_set_elementary);
@@ -746,6 +1087,14 @@ let suite =
     ("chase: incremental skips unreached strata", `Quick, test_chase_incremental_skips_unreached_strata);
     ("chase: incremental aggregation revision", `Quick, test_chase_incremental_aggregation_revision);
     ("chase: group-scoped aggregation state", `Quick, test_chase_incremental_aggregation_state);
+    ("repair: no change is a no-op", `Quick, test_repair_no_change_is_noop);
+    ("repair: one revision on the overview", `Quick, test_repair_overview_revision);
+    ("repair: unaffected branch skipped", `Quick, test_repair_skips_unaffected_branch);
+    ("repair: insertion and deletion", `Quick, test_repair_insertion_and_deletion);
+    ("repair: both join sides changed", `Quick, test_repair_both_join_sides);
+    ("repair: indexes survive", `Quick, test_repair_keeps_indexes);
+    ("repair: blackbox slice revision", `Quick, test_repair_blackbox_revision);
+    ("repair: unknown relation rejected", `Quick, test_repair_rejects_unknown_relation);
     ("facade: apply_updates end to end", `Quick, test_apply_updates_end_to_end);
     ("facade: empty update batch", `Quick, test_apply_updates_empty_batch);
     ("facade: no-op batch propagates nothing", `Quick, test_apply_updates_noop_batch);
@@ -758,4 +1107,5 @@ let suite =
     ("facade: cache invalidation on load", `Quick, test_apply_updates_cache_invalidation);
     ("facade: batch validation is atomic", `Quick, test_apply_updates_validation_atomic);
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
+    QCheck_alcotest.to_alcotest prop_chase_incremental_equals_run;
   ]

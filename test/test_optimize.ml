@@ -350,22 +350,48 @@ let test_optimizer_report_json () =
 
 (* --- engine wiring ---------------------------------------------------- *)
 
-let test_engine_optimize_flag () =
-  let run_with optimize =
-    let config = { Engine.Exlengine.default_config with optimize } in
-    let t = Engine.Exlengine.create ~config () in
-    ok_s (Engine.Exlengine.register_program t ~name:"overview" overview_program);
-    let reg = overview_registry () in
-    List.iter
-      (fun name -> ok_s (Engine.Exlengine.load_elementary t (Registry.find_exn reg name)))
-      [ "PDR"; "RGDPPC" ];
-    ignore (ok_s (Engine.Exlengine.recompute t));
-    match Engine.Exlengine.cube t "PCHNG" with
-    | Some c -> c
-    | None -> Alcotest.fail "PCHNG not recomputed"
+(* The engine chases, caches and repairs the optimized mapping: after
+   [warm] and one incremental batch, every cube the batch recomputed
+   must equal a from-scratch chase of the plain generated mapping over
+   the updated elementary data. *)
+let test_engine_repair_matches_generated () =
+  let t = Engine.Exlengine.create () in
+  ok_s (Engine.Exlengine.register_program t ~name:"overview" overview_program);
+  let reg = overview_registry () in
+  let elementary = [ "PDR"; "RGDPPC" ] in
+  List.iter
+    (fun name -> ok_s (Engine.Exlengine.load_elementary t (Registry.find_exn reg name)))
+    elementary;
+  ok_s (Engine.Exlengine.warm t);
+  let report =
+    ok_s
+      (Engine.Exlengine.apply_updates t
+         [ Engine.Update.set ~cube:"RGDPPC" ~key:[ vq 2021 2; vs "north" ] (vf 123.) ])
   in
-  Alcotest.check cube_eq "same PCHNG with and without the optimizer" (run_with false)
-    (run_with true)
+  Alcotest.(check bool) "repaired the warm cache" true
+    report.Engine.Exlengine.cache_hit;
+  Alcotest.(check (list string)) "recomputed downstream of RGDPPC"
+    [ "RGDP"; "GDP"; "GDPT"; "PCHNG" ] report.Engine.Exlengine.recomputed;
+  let d = Engine.Exlengine.determination t in
+  let generated =
+    ok_s (Engine.Translation.submapping d ~cubes:(Engine.Determination.derived_order d))
+  in
+  let updated = Registry.create () in
+  List.iter
+    (fun name ->
+      Registry.add updated Registry.Elementary
+        (Option.get (Engine.Exlengine.cube t name)))
+    elementary;
+  let scratch, _ = ok_s (X.Chase.run generated (X.Instance.of_registry updated)) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " equals the generated mapping's chase")
+        true
+        (Cube.equal_data ~eps:1e-7
+           (X.Instance.cube_of_relation scratch name)
+           (Option.get (Engine.Exlengine.cube t name))))
+    report.Engine.Exlengine.recomputed
 
 (* --- docs drift -------------------------------------------------------- *)
 
@@ -462,7 +488,7 @@ let suite =
     ("chase: nulls_created counts temps", `Quick, test_nulls_created_counts_temps);
     ("optimize: tampered certificate rejected", `Quick, test_tampered_certificate_rejected);
     ("optimize: json report", `Quick, test_optimizer_report_json);
-    ("engine: optimize flag A/B", `Quick, test_engine_optimize_flag);
+    ("engine: repair == unoptimized chase", `Quick, test_engine_repair_matches_generated);
     ("docs: diagnostics catalogue drift", `Quick, test_diagnostics_docs_drift);
     QCheck_alcotest.to_alcotest prop_optimize_preserves_chase;
   ]
