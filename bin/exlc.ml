@@ -361,19 +361,12 @@ let fuzz seed count profile axes fuse out_dir replays =
           replays;
         if !failed = 0 then 0 else 1
     | [] -> (
-        let specs =
-          List.map
-            (fun spec ->
-              match Fuzz.Lattice.of_spec spec with
-              | Some parsed -> Ok parsed
-              | None -> Error spec)
-            axes
-        in
-        match List.find_opt Result.is_error specs with
-        | Some (Error spec) -> fail ("unknown axis " ^ spec)
-        | Some (Ok _) -> assert false
+        match
+          List.find_opt (fun spec -> Fuzz.Lattice.of_spec spec = None) axes
+        with
+        | Some spec -> fail ("unknown axis " ^ spec)
         | None ->
-            let specs = List.filter_map Result.to_option specs in
+            let specs = List.filter_map Fuzz.Lattice.of_spec axes in
             let axes =
               match specs with
               | [] -> Fuzz.Lattice.all

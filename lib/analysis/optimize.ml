@@ -569,6 +569,8 @@ let fuse_all push ~original ?cards (m : Mapping.t) =
 
 (* --- pass 4: outer-combine specialization (I305) ----------------------- *)
 
+(* The tuple-level tgd an outer combine reduces to when both sides read
+   one relation on the same grid, with that relation. *)
 let specialize_outer (tgd : Tgd.t) =
   match tgd with
   | Tgd.Outer_combine { left; right; op; default = _; target }
@@ -583,13 +585,14 @@ let specialize_outer (tgd : Tgd.t) =
              equal, no side is ever missing, the default is dead — and
              both measures name the same fact's measure *)
           Some
-            (Tgd.Tuple_level
-               {
-                 lhs = [ left ];
-                 rhs =
-                   Tgd.atom target
-                     (ldims @ [ Term.Binapp (op, Term.Var ml, Term.Var ml) ]);
-               })
+            ( Tgd.Tuple_level
+                {
+                  lhs = [ left ];
+                  rhs =
+                    Tgd.atom target
+                      (ldims @ [ Term.Binapp (op, Term.Var ml, Term.Var ml) ]);
+                },
+              left.Tgd.rel )
       | _ -> None)
   | _ -> None
 
@@ -599,12 +602,7 @@ let specialize_outers push (m : Mapping.t) =
       (fun tgd ->
         match specialize_outer tgd with
         | None -> tgd
-        | Some specialized ->
-            let rel =
-              match tgd with
-              | Tgd.Outer_combine { left; _ } -> left.Tgd.rel
-              | _ -> assert false
-            in
+        | Some (specialized, rel) ->
             push
               {
                 code = "I305";
@@ -930,12 +928,10 @@ let verify_action (r : report) (a : action) : (unit, string) result =
       | None -> fail "recorded fusion for %s does not replay" a.target)
   | Grid_equality { relation }, Some before, Some after -> (
       match specialize_outer before with
-      | Some replay when Tgd.equal replay after -> (
-          match before with
-          | Tgd.Outer_combine { left; right; _ }
-            when left.Tgd.rel = relation && right.Tgd.rel = relation ->
-              Ok ()
-          | _ -> fail "grid certificate names the wrong relation")
+      | Some (replay, rel) when Tgd.equal replay after ->
+          (* the replay reads one relation on both sides *)
+          if rel = relation then Ok ()
+          else fail "grid certificate names the wrong relation"
       | _ -> fail "outer specialization for %s does not replay" a.target)
   | Determination { chain }, Some tgd, None -> (
       match tgd with

@@ -26,13 +26,13 @@ let store t ~valid_from cube =
 let versions t name =
   match Hashtbl.find_opt t name with Some v -> !v | None -> []
 
-let as_of t date name =
-  let applicable =
-    List.filter (fun (d, _) -> Calendar.Date.compare d date <= 0) (versions t name)
-  in
-  match List.rev applicable with
-  | (_, cube) :: _ -> Some cube
-  | [] -> None
+let version_as_of date versions =
+  List.fold_left
+    (fun found (d, cube) ->
+      if Calendar.Date.compare d date <= 0 then Some cube else found)
+    None versions
+
+let as_of t date name = version_as_of date (versions t name)
 
 let latest t name =
   match List.rev (versions t name) with

@@ -17,6 +17,10 @@ val store : t -> valid_from:Calendar.Date.t -> Cube.t -> unit
 val as_of : t -> Calendar.Date.t -> string -> Cube.t option
 (** The version whose validity start is the latest one <= the date. *)
 
+val version_as_of :
+  Calendar.Date.t -> (Calendar.Date.t * Cube.t) list -> Cube.t option
+(** [as_of]'s selection over a version list sorted oldest first. *)
+
 val latest : t -> string -> Cube.t option
 val versions : t -> string -> (Calendar.Date.t * Cube.t) list
 (** Oldest first. *)

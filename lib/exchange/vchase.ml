@@ -62,27 +62,27 @@ let atom_shape instance (atom : Tgd.atom) =
    variable and that variable sits on a dictionary-encoded dimension:
    the term then evaluates once per distinct code instead of once per
    row.  The measure may sit on any position (measure column or an
-   encoded dimension). *)
+   encoded dimension).  The shape pairs each group-by term with its
+   variable and that variable's position ([None] for a constant
+   term), and gives the measure's position. *)
 let agg_shape instance (source : Tgd.atom) group_by measure =
   match atom_shape instance source with
   | None -> None
   | Some vpos ->
       let ndims = List.length source.Tgd.args - 1 in
-      let terms_ok =
-        List.for_all
-          (fun t ->
-            match Term.vars t with
-            | [] -> true
-            | [ v ] -> (
-                match List.assoc_opt v vpos with
-                | Some p -> p < ndims
-                | None -> false)
-            | _ :: _ :: _ -> false)
-          group_by
+      let term_shape t =
+        match Term.vars t with
+        | [] -> Some (t, None)
+        | [ v ] -> (
+            match List.assoc_opt v vpos with
+            | Some p when p < ndims -> Some (t, Some (v, p))
+            | _ -> None)
+        | _ :: _ :: _ -> None
       in
-      if not terms_ok then None
+      let terms = List.filter_map term_shape group_by in
+      if List.compare_lengths terms group_by <> 0 then None
       else
-        Option.map (fun mpos -> (vpos, mpos)) (List.assoc_opt measure vpos)
+        Option.map (fun mpos -> (terms, mpos)) (List.assoc_opt measure vpos)
 
 (* One prepared group-by column: either the same value on every row,
    or a per-input-code translation into a local key dictionary. *)
@@ -99,15 +99,14 @@ type gcol =
 let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
   match agg_shape ctx.read source group_by measure with
   | None -> false
-  | Some (vpos, mpos) ->
+  | Some (terms, mpos) ->
       let b = Instance.batch ctx.read source.Tgd.rel in
       let nrows = Batch.nrows b in
       let ndims = List.length source.Tgd.args - 1 in
-      let prep term =
-        match Term.vars term with
-        | [] -> Gconst (Binding.term_value Binding.empty term, term)
-        | [ v ] ->
-            let p = List.assoc v vpos in
+      let prep (term, var) =
+        match var with
+        | None -> Gconst (Binding.term_value Binding.empty term, term)
+        | Some (v, p) ->
             let d = Batch.dim_dict b p in
             let vals =
               Array.init (Dict.size d) (fun c ->
@@ -132,9 +131,8 @@ let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
                 vals;
                 radix = max 1 (Dict.size local);
               }
-        | _ -> assert false
       in
-      let preps = List.map prep group_by in
+      let preps = List.map prep terms in
       (* Every source fact is an examined candidate, matching or not. *)
       ctx.count nrows;
       (* Row scan in sorted order: raise exactly where the row matcher
@@ -192,7 +190,7 @@ let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
             List.map
               (function
                 | Gconst (Some v, _) -> v
-                | Gconst (None, _) -> assert false (* raised above *)
+                | Gconst (None, t) -> undefined t (* the row scan raised first *)
                 | Gcol p -> Option.get p.vals.(p.src_codes.(rep)))
               preps
           in

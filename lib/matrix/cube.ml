@@ -1,24 +1,106 @@
-type t = { schema : Schema.t; data : Value.t Tuple.Table.t }
+(* Copy-on-write representation.  A cube's facts are its [base] table
+   with the persistent [overlay] applied on top ([None] = removed).
+   [copy] and [with_schema] freeze the base and share it with the new
+   handle; a frozen base is never written again, so every handle's
+   later writes go to its own overlay.  A base that was never shared
+   is written in place, exactly like a plain hashtable.  The frozen
+   flag lives with the table (every handle sharing it must see it) and
+   is atomic because several domains may copy one source cube at
+   once. *)
+type base = { tbl : Value.t Tuple.Table.t; frozen : bool Atomic.t }
+
+type t = {
+  schema : Schema.t;
+  mutable base : base;
+  mutable overlay : Value.t option Tuple.Map.t;
+  mutable overlay_size : int;
+  mutable overlay_writes : int;  (* since the last compaction *)
+  mutable shift : int;
+      (* cardinality minus the base table's length; 0 with no overlay *)
+}
 
 exception Functionality_violation of { cube : string; key : Tuple.t }
 
-let create schema = { schema; data = Tuple.Table.create 64 }
+let fresh_base tbl = { tbl; frozen = Atomic.make false }
+
+let create schema =
+  {
+    schema;
+    base = fresh_base (Tuple.Table.create 64);
+    overlay = Tuple.Map.empty;
+    overlay_size = 0;
+    overlay_writes = 0;
+    shift = 0;
+  }
+
 let schema c = c.schema
 let name c = c.schema.Schema.name
-let cardinality c = Tuple.Table.length c.data
+let cardinality c = Tuple.Table.length c.base.tbl + c.shift
 let is_empty c = cardinality c = 0
 
-let set c key v =
-  if Value.is_null v then Tuple.Table.remove c.data key
-  else Tuple.Table.replace c.data key v
+let find c key =
+  if c.overlay_size = 0 then Tuple.Table.find_opt c.base.tbl key
+  else
+    match Tuple.Map.find_opt key c.overlay with
+    | Some v -> v
+    | None -> Tuple.Table.find_opt c.base.tbl key
+
+(* Fold the overlay into a private, unfrozen copy of the base. *)
+let compact c =
+  let tbl = Tuple.Table.copy c.base.tbl in
+  Tuple.Map.iter
+    (fun k -> function
+      | Some v -> Tuple.Table.replace tbl k v
+      | None -> Tuple.Table.remove tbl k)
+    c.overlay;
+  c.base <- fresh_base tbl;
+  c.overlay <- Tuple.Map.empty;
+  c.overlay_size <- 0;
+  c.overlay_writes <- 0;
+  c.shift <- 0
+
+let write_overlay c key v =
+  let in_base = Tuple.Table.find_opt c.base.tbl key in
+  let prior = Tuple.Map.find_opt key c.overlay in
+  let before = match prior with Some o -> o | None -> in_base in
+  c.shift <-
+    c.shift - Bool.to_int (Option.is_some before) + Bool.to_int (Option.is_some v);
+  if Option.is_none v && Option.is_none in_base then begin
+    (* a key the base never had needs no removal marker *)
+    if Option.is_some prior then begin
+      c.overlay <- Tuple.Map.remove key c.overlay;
+      c.overlay_size <- c.overlay_size - 1
+    end
+  end
+  else begin
+    if Option.is_none prior then c.overlay_size <- c.overlay_size + 1;
+    c.overlay <- Tuple.Map.add key v c.overlay
+  end;
+  (* Compaction copies the base, so compacting after an eighth of its
+     size in overlay writes keeps each write O(1) amortized; the 64
+     spares small cubes a copy every few writes.  Writes are counted,
+     not distinct keys: a writer that keeps revising the same keys
+     (batch commits) goes back to in-place writes, and its scans stop
+     paying an overlay lookup per key. *)
+  c.overlay_writes <- c.overlay_writes + 1;
+  if c.overlay_writes > 64 + (Tuple.Table.length c.base.tbl / 8) then compact c
+
+let write c key v =
+  if Atomic.get c.base.frozen then write_overlay c key v
+  else
+    match v with
+    | Some v -> Tuple.Table.replace c.base.tbl key v
+    | None -> Tuple.Table.remove c.base.tbl key
+
+let set c key v = write c key (if Value.is_null v then None else Some v)
 
 let add_strict c key v =
   if not (Value.is_null v) then
-    match Tuple.Table.find_opt c.data key with
+    match find c key with
     | Some existing when not (Value.equal existing v) ->
         raise (Functionality_violation { cube = name c; key })
     | Some _ -> ()
-    | None -> Tuple.Table.replace c.data key v
+    | None -> write c key (Some v)
 
 let validate_tuple c key =
   if not (Schema.compatible_tuple c.schema key) then
@@ -26,8 +108,6 @@ let validate_tuple c key =
       (Printf.sprintf "Cube: tuple %s does not fit schema %s"
          (Tuple.to_string key)
          (Schema.to_string c.schema))
-
-let find c key = Tuple.Table.find_opt c.data key
 
 let find_exn c key =
   match find c key with
@@ -37,10 +117,36 @@ let find_exn c key =
         (Printf.sprintf "Cube.find_exn: %s undefined on %s" (name c)
            (Tuple.to_string key))
 
-let mem c key = Tuple.Table.mem c.data key
-let remove c key = Tuple.Table.remove c.data key
-let iter f c = Tuple.Table.iter f c.data
-let fold f c init = Tuple.Table.fold f c.data init
+let mem c key = Option.is_some (find c key)
+let remove c key = write c key None
+
+(* Base keys in table order (an overlay revision keeps the key's
+   position, as [Hashtbl.replace] does), then the overlay-only keys in
+   key order. *)
+let fold f c init =
+  let tbl = c.base.tbl and overlay = c.overlay in
+  if c.overlay_size = 0 then Tuple.Table.fold f tbl init
+  else
+    let acc =
+      Tuple.Table.fold
+        (fun k v acc ->
+          match Tuple.Map.find_opt k overlay with
+          | None -> f k v acc
+          | Some (Some v') -> f k v' acc
+          | Some None -> acc)
+        tbl init
+    in
+    Tuple.Map.fold
+      (fun k o acc ->
+        match o with
+        | Some v when not (Tuple.Table.mem tbl k) -> f k v acc
+        | _ -> acc)
+      overlay acc
+
+let iter f c =
+  if c.overlay_size = 0 then Tuple.Table.iter f c.base.tbl
+  else fold (fun k v () -> f k v) c ()
+
 let keys c = fold (fun k _ acc -> k :: acc) c []
 
 let to_alist c =
@@ -69,12 +175,16 @@ let of_rows schema rows =
     rows;
   c
 
-let copy c = { schema = c.schema; data = Tuple.Table.copy c.data }
+let share schema c =
+  if not (Atomic.get c.base.frozen) then Atomic.set c.base.frozen true;
+  { c with schema }
+
+let copy c = share c.schema c
 
 let with_schema schema c =
   if Schema.arity schema <> Schema.arity c.schema then
     invalid_arg "Cube.with_schema: arity mismatch";
-  { schema; data = Tuple.Table.copy c.data }
+  share schema c
 
 let map_measure f c =
   let out = create c.schema in

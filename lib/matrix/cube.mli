@@ -48,8 +48,13 @@ val of_rows : Schema.t -> Value.t list list -> t
 (** Each row is [dims @ [measure]]. *)
 
 val copy : t -> t
+(** An independent cube with the same data, in O(1): both share the
+    current table copy-on-write, and each side's later writes cost
+    O(log delta) until they compact into a private table (amortized
+    O(1) per write). *)
+
 val with_schema : Schema.t -> t -> t
-(** Same data under another schema (arity must match). *)
+(** Same data under another schema (arity must match); a [copy]. *)
 
 val map_measure : (Value.t -> Value.t) -> t -> t
 (** Pointwise transform; [Null] results are dropped (partiality). *)

@@ -7,7 +7,9 @@
     site in the pipeline actually needs. *)
 
 val now : unit -> float
-(** Seconds, strictly non-decreasing across calls process-wide. *)
+(** Seconds, at microsecond resolution, non-decreasing across calls
+    process-wide.  Its allocation, and that of [elapsed], does not
+    depend on the reading. *)
 
 val elapsed : float -> float
 (** [elapsed t0] is [max 0. (now () -. t0)] — a duration that can never

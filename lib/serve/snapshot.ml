@@ -23,28 +23,17 @@ let names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.entries []
   |> List.sort String.compare
 
-let as_of entry date =
-  let applicable =
-    List.filter
-      (fun (d, _) -> Calendar.Date.compare d date <= 0)
-      entry.versions
-  in
-  match List.rev applicable with (_, cube) :: _ -> Some cube | [] -> None
+let as_of entry date = Engine.Historicity.version_as_of date entry.versions
 
-(* Elementary cubes are revised in place by the engine's update path,
-   so the snapshot owns a copy; derived cubes are rebuilt as fresh
-   objects on every recomputation and history versions are copied on
-   store, so sharing those references is safe. *)
+(* Every current cube is copied: the engine revises elementary cubes in
+   place, and a copy shares the data copy-on-write, so it costs O(1).
+   History versions are copied on store and shared as they are. *)
 let read_entry engine ~status name =
   let det = Engine.Exlengine.determination engine in
   match (Engine.Determination.schema det name, Engine.Determination.kind det name)
   with
   | Some schema, Some kind ->
-      let current =
-        match Engine.Exlengine.cube engine name with
-        | Some c when kind = Registry.Elementary -> Some (Cube.copy c)
-        | other -> other
-      in
+      let current = Option.map Cube.copy (Engine.Exlengine.cube engine name) in
       let versions =
         Engine.Historicity.versions (Engine.Exlengine.history engine) name
       in

@@ -9,11 +9,11 @@ open Matrix
     builds the next snapshot only after {!Engine.Exlengine.apply_updates}
     committed, and swaps it in with one atomic store (swap-on-commit).
 
-    Publishing is cheap: elementary cubes (which the engine revises in
-    place) are copied only when the batch touched them, derived cubes
-    and history versions are fresh or copy-on-store objects the engine
-    never mutates again, and untouched entries are shared with the
-    previous snapshot. *)
+    Publishing is cheap: the cubes the batch touched are copied with
+    {!Cube.copy}, which shares their data copy-on-write in O(1),
+    history versions are copy-on-store objects the engine never
+    mutates again, and untouched entries are shared with the previous
+    snapshot. *)
 
 type status =
   | Healthy
@@ -44,8 +44,8 @@ val capture :
 
 val publish : prev:t -> touched:string list -> Engine.Exlengine.t -> t
 (** The post-commit snapshot: entries named in [touched] are re-read
-    from the engine (elementary currents copied, derived currents and
-    history versions shared), everything else is shared with [prev]. *)
+    from the engine (currents copied, history versions shared),
+    everything else is shared with [prev]. *)
 
 val find : t -> string -> entry option
 

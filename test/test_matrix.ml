@@ -257,6 +257,179 @@ let test_cube_of_rows_validates () =
     (Invalid_argument "Cube.of_rows: row of width 3 for schema C(x: int): float")
     (fun () -> ignore (Cube.of_rows schema [ [ vi 1; vi 2; vf 3. ] ]))
 
+(* --- cube copy-on-write --- *)
+
+(* [copy] and [with_schema] share the copied cube's data; each handle's
+   later writes must stay its own.  The property drives several live
+   handles descended from one cube through random interleavings of
+   writes and copies, each handle beside its own [Hashtbl] model. *)
+type cow_op =
+  | Set of int * int * int  (* slot, key, measure *)
+  | Set_null of int * int
+  | Remove of int * int
+  | Add_strict of int * int * int
+  | Copy of int * int  (* source slot, destination slot *)
+  | With_schema of int * int
+
+let cow_slots = 3
+let cow_keys = 160
+
+let show_cow_op = function
+  | Set (s, k, v) -> Printf.sprintf "set %d %d %d" s k v
+  | Set_null (s, k) -> Printf.sprintf "set_null %d %d" s k
+  | Remove (s, k) -> Printf.sprintf "remove %d %d" s k
+  | Add_strict (s, k, v) -> Printf.sprintf "add_strict %d %d %d" s k v
+  | Copy (s, d) -> Printf.sprintf "copy %d -> %d" s d
+  | With_schema (s, d) -> Printf.sprintf "with_schema %d -> %d" s d
+
+let cow_case =
+  let open QCheck.Gen in
+  (* Slot 0 takes most writes, and runs are long: its overlay, shared
+     with the copies taken from it, takes more writes than the
+     compaction threshold (64 + |base|/8) in most cases. *)
+  let slot = frequency [ (3, return 0); (1, int_range 1 (cow_slots - 1)) ] in
+  let dst = int_range 0 (cow_slots - 1) in
+  let k = int_range 0 (cow_keys - 1) and v = int_range 0 3 in
+  let op =
+    frequency
+      [
+        (8, map3 (fun s k v -> Set (s, k, v)) slot k v);
+        (1, map2 (fun s k -> Set_null (s, k)) slot k);
+        (2, map2 (fun s k -> Remove (s, k)) slot k);
+        (3, map3 (fun s k v -> Add_strict (s, k, v)) slot k v);
+        (1, map2 (fun s d -> Copy (s, d)) slot dst);
+        (1, map2 (fun s d -> With_schema (s, d)) slot dst);
+      ]
+  in
+  pair
+    (list_size (int_range 0 60) (pair k v))
+    (list_size (int_range 150 350) op)
+
+let print_cow_case (init, ops) =
+  Printf.sprintf "init: %s\nops: %s"
+    (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v) init))
+    (String.concat "; " (List.map show_cow_op ops))
+
+let cow_count = Helpers.qcheck_count ~var:"EXL_CUBE_QCHECK_COUNT" ~default:10
+
+let check_cow_handle slot c model =
+  let fail fmt = QCheck.Test.fail_reportf ("slot %d: " ^^ fmt) slot in
+  if Cube.cardinality c <> Hashtbl.length model then
+    fail "cardinality %d, model %d" (Cube.cardinality c) (Hashtbl.length model);
+  for k = 0 to cow_keys - 1 do
+    let expected = Option.map (fun v -> vf (float_of_int v)) (Hashtbl.find_opt model k) in
+    if not (Option.equal Value.equal (Cube.find c (key [ vi k ])) expected) then
+      fail "find %d disagrees" k;
+    if Cube.mem c (key [ vi k ]) <> Option.is_some expected then
+      fail "mem %d disagrees" k
+  done;
+  let expected_alist =
+    Hashtbl.fold (fun k v acc -> (key [ vi k ], vf (float_of_int v)) :: acc) model []
+    |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+  in
+  if
+    not
+      (List.equal
+         (fun (k1, v1) (k2, v2) -> Tuple.equal k1 k2 && Value.equal v1 v2)
+         (Cube.to_alist c) expected_alist)
+  then fail "to_alist disagrees";
+  let seen = Tuple.Table.create 64 in
+  Cube.iter
+    (fun k v ->
+      if Tuple.Table.mem seen k then fail "iter yields %s twice" (Tuple.to_string k);
+      Tuple.Table.replace seen k ();
+      if not (Option.equal Value.equal (Some v) (Cube.find c k)) then
+        fail "iter yields a stale measure at %s" (Tuple.to_string k))
+    c;
+  if Tuple.Table.length seen <> Hashtbl.length model then
+    fail "iter yields %d keys, model has %d" (Tuple.Table.length seen)
+      (Hashtbl.length model)
+
+let prop_cube_copy_on_write =
+  QCheck.Test.make ~count:cow_count
+    ~name:"cube copy-on-write: every handle matches its own model"
+    (QCheck.make ~print:print_cow_case
+       ~shrink:QCheck.Shrink.(pair list list)
+       cow_case)
+    (fun (init, ops) ->
+      let schema = Schema.make ~name:"C" ~dims:[ ("x", Domain.Int) ] () in
+      let renamed = Schema.make ~name:"W" ~dims:[ ("x", Domain.Int) ] () in
+      let handles = Array.make cow_slots None in
+      let c = Cube.create schema and model = Hashtbl.create 64 in
+      List.iter
+        (fun (k, v) ->
+          Cube.set c (key [ vi k ]) (vf (float_of_int v));
+          Hashtbl.replace model k v)
+        init;
+      handles.(0) <- Some (c, model);
+      let on slot f = Option.iter (fun (c, m) -> f c m) handles.(slot) in
+      let copy_into dst (c, m) = handles.(dst) <- Some (c, Hashtbl.copy m) in
+      let step = function
+        | Set (s, k, v) ->
+            on s (fun c m ->
+                Cube.set c (key [ vi k ]) (vf (float_of_int v));
+                Hashtbl.replace m k v)
+        | Set_null (s, k) ->
+            on s (fun c m ->
+                Cube.set c (key [ vi k ]) Value.Null;
+                Hashtbl.remove m k)
+        | Remove (s, k) ->
+            on s (fun c m ->
+                Cube.remove c (key [ vi k ]);
+                Hashtbl.remove m k)
+        | Add_strict (s, k, v) ->
+            on s (fun c m ->
+                let conflict =
+                  match Hashtbl.find_opt m k with Some w -> w <> v | None -> false
+                in
+                match Cube.add_strict c (key [ vi k ]) (vf (float_of_int v)) with
+                | () ->
+                    if conflict then
+                      QCheck.Test.fail_reportf "add_strict %d accepted a conflict" k;
+                    Hashtbl.replace m k v
+                | exception Cube.Functionality_violation _ ->
+                    if not conflict then
+                      QCheck.Test.fail_reportf "add_strict %d raised spuriously" k)
+        | Copy (s, d) -> on s (fun c m -> copy_into d (Cube.copy c, m))
+        | With_schema (s, d) ->
+            on s (fun c m ->
+                let w = Cube.with_schema renamed c in
+                if Cube.name w <> "W" then QCheck.Test.fail_report "schema not renamed";
+                copy_into d (w, m))
+      in
+      List.iter
+        (fun op ->
+          step op;
+          Array.iteri
+            (fun slot h -> Option.iter (fun (c, m) -> check_cow_handle slot c m) h)
+            handles)
+        ops;
+      true)
+
+let test_cube_copy_keeps_iter_order () =
+  let schema = Schema.make ~name:"C" ~dims:[ ("x", Domain.Int) ] () in
+  let c = Cube.create schema in
+  for k = 0 to 99 do
+    Cube.set c (key [ vi k ]) (vf 0.)
+  done;
+  let order c = List.rev (Cube.fold (fun k _ acc -> k :: acc) c []) in
+  let before = order c in
+  let revised = Cube.copy c in
+  for k = 0 to 99 do
+    if k mod 3 = 0 then Cube.set revised (key [ vi k ]) (vf 1.)
+  done;
+  Alcotest.(check (list string))
+    "revised base keys keep their positions"
+    (List.map Tuple.to_string before)
+    (List.map Tuple.to_string (order revised));
+  Alcotest.(check (list string))
+    "the original is untouched"
+    (List.map Tuple.to_string before)
+    (List.map Tuple.to_string (order c));
+  Alcotest.check value "original measure" (vf 0.) (Cube.find_exn c (key [ vi 3 ]));
+  Alcotest.check value "revised measure" (vf 1.)
+    (Cube.find_exn revised (key [ vi 3 ]))
+
 (* --- series --- *)
 
 let test_series_sorted_and_contiguous () =
@@ -474,6 +647,8 @@ let suite =
     ("cube: merge join operand order", `Quick, test_cube_merge_join_operand_order);
     ("cube: diff data", `Quick, test_cube_diff_data);
     ("cube: of_rows validates", `Quick, test_cube_of_rows_validates);
+    QCheck_alcotest.to_alcotest prop_cube_copy_on_write;
+    ("cube: copy keeps iter order of revised keys", `Quick, test_cube_copy_keeps_iter_order);
     ("series: sorted and contiguous", `Quick, test_series_sorted_and_contiguous);
     ("series: date dims preserved", `Quick, test_series_roundtrip_preserves_date_dims);
     ("registry: kinds and deep copy", `Quick, test_registry_kinds_and_copy);

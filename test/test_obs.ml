@@ -16,6 +16,21 @@ let test_clock_monotonic () =
   Alcotest.(check bool) "elapsed non-negative" true
     (Obs.Clock.elapsed (Obs.Clock.now ()) >= 0.)
 
+(* A traced run's allocation must not depend on what the clock reads:
+   a clamped duration allocates what any other does. *)
+let test_clock_allocation_fixed () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let past = Obs.Clock.now () -. 3600. and future = Obs.Clock.now () +. 3600. in
+  Alcotest.(check (float 0.)) "clamped elapsed allocates alike"
+    (words (fun () -> Obs.Clock.elapsed past))
+    (words (fun () -> Obs.Clock.elapsed future))
+
 let test_metrics_counters () =
   let m = Obs.Metrics.create () in
   Obs.Metrics.count m "a" 1;
@@ -249,4 +264,5 @@ let suite =
     ("export: prometheus text exposition", `Quick, test_prometheus_format);
     ("export: every JSONL line parses", `Quick, test_jsonl_lines_parse);
     ("provenance: engine run names tgd + target", `Quick, test_engine_run_provenance);
+    ("clock: allocation does not depend on the reading", `Quick, test_clock_allocation_fixed);
   ]

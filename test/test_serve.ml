@@ -663,6 +663,61 @@ let test_concurrent_asof_reads () =
             (Cube.find cube (key [ vq 2024 1 ])))
     [ 0; 1; 7; batches ]
 
+(* A published snapshot keeps the elementary cube it was published
+   with: later commits that revise, remove and insert facts in SALES
+   reach only the newer snapshots, and the dated history still answers
+   the earlier version. *)
+let test_snapshot_and_history_isolation () =
+  let engine = Engine.Exlengine.create () in
+  ok (Engine.Exlengine.register_program engine ~name:"p" sales_program);
+  ok (Engine.Exlengine.load_elementary engine (sales_cube ()));
+  let report = ok (Engine.Exlengine.recompute_all engine) in
+  ok (Engine.Exlengine.warm engine);
+  let t = Server.create ~report engine in
+  let post target body =
+    let r = Server.handle_request t (request "POST" ~body target) in
+    Alcotest.(check int) ("commit " ^ target) 200 r.Server.status
+  in
+  post "/v1/update?as_of=2026-02-01" "set SALES 2024M01 rome 100\n";
+  let held = Server.snapshot t in
+  post "/v1/update?as_of=2026-03-01"
+    "set SALES 2024M02 rome 50\n\
+     del SALES 2024M01 milan\n\
+     set SALES 2024M03 turin 7\n";
+  let sales snap =
+    match Snapshot.find snap "SALES" with
+    | Some { Snapshot.current = Some c; _ } -> c
+    | _ -> Alcotest.fail "SALES missing from the snapshot"
+  in
+  let at c m shop = Cube.find c (key [ vm 2024 m; vs shop ]) in
+  let old = sales held and now = sales (Server.snapshot t) in
+  Alcotest.(check int) "held cardinality" 3 (Cube.cardinality old);
+  Alcotest.(check (option value)) "held keeps its revision" (Some (vf 100.))
+    (at old 1 "rome");
+  Alcotest.(check (option value)) "held keeps the old value" (Some (vf 13.))
+    (at old 2 "rome");
+  Alcotest.(check (option value)) "held keeps the removed fact" (Some (vf 20.))
+    (at old 1 "milan");
+  Alcotest.(check (option value)) "held lacks the insertion" None
+    (at old 3 "turin");
+  Alcotest.(check int) "new cardinality" 3 (Cube.cardinality now);
+  Alcotest.(check (option value)) "new revision" (Some (vf 50.)) (at now 2 "rome");
+  Alcotest.(check (option value)) "new removal" None (at now 1 "milan");
+  Alcotest.(check (option value)) "new insertion" (Some (vf 7.)) (at now 3 "turin");
+  let total date =
+    match
+      Engine.Exlengine.cube_as_of engine (Option.get (Calendar.Date.of_string date))
+        "TOTAL"
+    with
+    | Some c -> Cube.find c (key [ vm 2024 1 ])
+    | None -> Alcotest.failf "no TOTAL version as of %s" date
+  in
+  Alcotest.(check (option value)) "earlier version" (Some (vf 120.))
+    (total "2026-02-15");
+  Alcotest.(check (option value)) "later version" (Some (vf 100.))
+    (total "2026-03-15");
+  Server.shutdown t
+
 let suite =
   [
     ("http: request line, path and query decoding", `Quick, test_parse_request_line);
@@ -681,4 +736,5 @@ let suite =
     ("socket: concurrent clients end to end", `Quick, test_socket_end_to_end);
     ("history: concurrent as-of reads see no torn state", `Quick, test_concurrent_asof_reads);
     ("socket: accepted TCP connections have TCP_NODELAY", `Quick, test_listener_nodelay);
+    ("writer: held snapshot and history survive later commits", `Quick, test_snapshot_and_history_isolation);
   ]
